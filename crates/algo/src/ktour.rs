@@ -19,7 +19,7 @@
 //! 4. the smallest `λ` needing at most `K` segments yields the tours.
 
 use crate::tsp;
-use wrsn_geom::{Metric, VirtualNodeMetric};
+use wrsn_geom::{DistanceMatrix, Metric, VirtualNodeMetric};
 
 /// A solution to the min–max `K` rooted tour problem.
 #[derive(Clone, Debug, PartialEq)]
@@ -95,8 +95,11 @@ fn split_with_bound<M: Metric + ?Sized>(
 /// - `depot`: depot→node travel times (length `n`),
 /// - `service`: per-node service times (length `n`),
 /// - `k`: number of vehicles (≥ 1),
-/// - `improvement_passes`: local-search budget for the underlying TSP
-///   tour (≈ 20–60 is plenty; more helps large instances slightly).
+/// - `improvement_passes`: move cap for the underlying TSP tour's
+///   descents ([`tsp::build_tour`]): every pass applies at most one
+///   first-improvement move, so 30 allows 30 2-opt moves, then 16
+///   Or-opt and 16 more 2-opt moves. Large tours stop at the cap long
+///   before a local optimum.
 ///
 /// Always returns exactly `k` tours (some possibly empty) that partition
 /// `0..n`.
@@ -127,34 +130,13 @@ pub fn min_max_ktours(
     k: usize,
     improvement_passes: usize,
 ) -> KTourSolution {
-    let n = dist.len();
-    if n == 0 {
-        assert!(k >= 1, "need at least one vehicle");
-        return KTourSolution { tours: vec![Vec::new(); k], max_delay: 0.0 };
-    }
-    // Closed tour over depot + nodes: extend the matrix with the depot as
-    // virtual node `n`.
-    let mut ext = vec![vec![0.0; n + 1]; n + 1];
-    for i in 0..n {
-        ext[i][..n].copy_from_slice(&dist[i]);
-        ext[i][n] = depot[i];
-        ext[n][i] = depot[i];
-    }
-    let mut tour = tsp::build_tour(&ext, improvement_passes);
-    // Rotate so the depot (virtual node n) is first, then drop it: the
-    // remainder is the Hamiltonian path we split.
-    let dpos = tour.iter().position(|&v| v == n).expect("depot in tour");
-    tour.rotate_left(dpos);
-    let order: Vec<usize> = tour[1..].to_vec();
-    min_max_ktours_along(dist, depot, service, k, &order)
+    min_max_ktours_with_matrix(dist, depot, service, k, improvement_passes)
 }
 
-/// [`min_max_ktours`] on any [`Metric`] (historically a memoized
-/// [`DistanceMatrix`]), avoiding the nested-matrix copy: the depot is
-/// appended as a virtual node via a borrowed [`VirtualNodeMetric`] view
-/// (same values, same index layout as
-/// [`DistanceMatrix::with_virtual_node`], hence the same tour bit for
-/// bit).
+/// [`min_max_ktours`] on any [`Metric`]. The depot is appended as
+/// virtual node `n` ([`VirtualNodeMetric`]), and that view is copied
+/// once, entry by entry, into a flat [`DistanceMatrix`] that the tour
+/// construction and both descents read.
 pub fn min_max_ktours_with_matrix<M: Metric + ?Sized>(
     dist: &M,
     depot: &[f64],
@@ -167,8 +149,10 @@ pub fn min_max_ktours_with_matrix<M: Metric + ?Sized>(
         assert!(k >= 1, "need at least one vehicle");
         return KTourSolution { tours: vec![Vec::new(); k], max_delay: 0.0 };
     }
-    let ext = VirtualNodeMetric::new(dist, depot);
+    let ext = DistanceMatrix::from_metric(&VirtualNodeMetric::new(dist, depot));
     let mut tour = tsp::build_tour(&ext, improvement_passes);
+    // Rotate so the depot (virtual node n) is first, then drop it: the
+    // remainder is the Hamiltonian path we split.
     let dpos = tour.iter().position(|&v| v == n).expect("depot in tour");
     tour.rotate_left(dpos);
     let order: Vec<usize> = tour[1..].to_vec();

@@ -6,7 +6,9 @@
 //! improvers:
 //!
 //! - [`nearest_neighbor`]: classic greedy, O(n²);
-//! - [`greedy_edge`]: cheapest-edge matching into a tour, O(n² log n);
+//! - [`greedy_edge`]: cheapest-edge matching into a tour, O(n² log n) in
+//!   the worst case — it sorts only the edges that can still matter (see
+//!   its edge order contract);
 //! - [`mst_preorder`]: MST-doubling shortcut (the textbook metric
 //!   2-approximation), O(n²);
 //! - [`two_opt`]: segment-reversal descent;
@@ -16,9 +18,11 @@
 //! from `tour[n-1]` back to `tour[0]` is implied).
 //!
 //! Every function is generic over [`Metric`], so nested `Vec<Vec<f64>>`
-//! matrices and the flat memoized [`DistanceMatrix`] work
-//! interchangeably — with identical float operations, hence identical
-//! tours.
+//! matrices and the flat memoized
+//! [`DistanceMatrix`](wrsn_geom::DistanceMatrix) work interchangeably —
+//! with identical float operations, hence identical tours. The flat
+//! table is the fast one: [`crate::ktour`] copies its input into one
+//! before building the tour.
 
 use wrsn_geom::Metric;
 
@@ -64,70 +68,149 @@ pub fn nearest_neighbor<M: Metric + ?Sized>(dist: &M, start: usize) -> Vec<usize
     tour
 }
 
+/// Edges per node in the sorted prefix of [`greedy_edge`].
+const PREFIX_PER_NODE: usize = 16;
+
 /// Greedy-edge tour: repeatedly add the globally cheapest edge that keeps
 /// degrees ≤ 2 and creates no premature cycle, then stitch the resulting
 /// Hamiltonian path into a cycle.
+///
+/// Edge order contract: edge `(i, j)`, `i < j`, weighs `dist.at(i, j)`,
+/// and edges are taken in increasing `(weight, i, j)` order, where
+/// `-0.0` equals `+0.0`. A NaN weight panics.
+///
+/// Only two sets of edges are sorted: the *prefix*, the `16n` smallest
+/// edges, picked by `select_nth_unstable`; then, if the path is still
+/// open, the *survivors*, the remaining edges whose endpoints both have
+/// degree < 2 and lie in different fragments. An edge rejected now would
+/// be rejected at any later point, because degrees only grow and
+/// fragments only merge, so the accepted edges are those of sorting every
+/// edge. O(n²) to key and select the edges, plus sorting the prefix and
+/// the survivors: O(n² log n) in the worst case, as when many weights tie.
+///
+/// # Panics
+///
+/// Panics if some `dist.at(i, j)`, `i < j`, is NaN (for `n ≥ 3`).
 pub fn greedy_edge<M: Metric + ?Sized>(dist: &M) -> Vec<usize> {
     let n = dist.len();
     if n <= 2 {
         return (0..n).collect();
     }
-    let mut edges: Vec<(usize, usize)> = Vec::with_capacity(n * (n - 1) / 2);
+    let mut edges = Vec::with_capacity(n * (n - 1) / 2);
     for i in 0..n {
         for j in (i + 1)..n {
-            edges.push((i, j));
+            edges.push((order_key(dist.at(i, j)), i, j));
         }
     }
-    edges.sort_by(|&(a, b), &(c, d)| dist.at(a, b).partial_cmp(&dist.at(c, d)).unwrap());
+    let split = (PREFIX_PER_NODE * n).min(edges.len());
+    if split < edges.len() {
+        edges.select_nth_unstable(split);
+    }
+    let (prefix, rest) = edges.split_at_mut(split);
+    prefix.sort_unstable();
+    let mut forest = PathForest::new(n);
+    if !forest.add_in_order(prefix) {
+        let mut survivors: Vec<_> = rest
+            .iter()
+            .copied()
+            .filter(|&(_, u, v)| {
+                forest.degree[u] < 2 && forest.degree[v] < 2 && forest.find(u) != forest.find(v)
+            })
+            .collect();
+        survivors.sort_unstable();
+        forest.add_in_order(&survivors);
+    }
+    forest.walk()
+}
 
-    // Union-find for cycle detection.
-    let mut uf: Vec<usize> = (0..n).collect();
-    fn find(uf: &mut Vec<usize>, x: usize) -> usize {
-        if uf[x] != x {
-            let r = find(uf, uf[x]);
-            uf[x] = r;
-        }
-        uf[x]
+/// Maps a weight to a `u64` whose unsigned order is the weight's
+/// numeric order, with `-0.0` mapped like `+0.0`.
+fn order_key(w: f64) -> u64 {
+    assert!(!w.is_nan(), "greedy_edge: NaN edge weight");
+    let bits = if w == 0.0 { 0 } else { w.to_bits() };
+    if bits >> 63 == 0 {
+        bits | (1 << 63)
+    } else {
+        !bits
     }
-    let mut degree = vec![0usize; n];
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut added = 0;
-    for (u, v) in edges {
-        if added == n - 1 {
-            break;
+}
+
+/// Vertex-disjoint paths grown one edge at a time: degrees, adjacency
+/// and a union-find over the fragments.
+struct PathForest {
+    root: Vec<usize>,
+    degree: Vec<u8>,
+    adj: Vec<[usize; 2]>,
+    added: usize,
+}
+
+impl PathForest {
+    fn new(n: usize) -> Self {
+        PathForest {
+            root: (0..n).collect(),
+            degree: vec![0; n],
+            adj: vec![[usize::MAX; 2]; n],
+            added: 0,
         }
-        if degree[u] >= 2 || degree[v] >= 2 {
-            continue;
-        }
-        let (ru, rv) = (find(&mut uf, u), find(&mut uf, v));
-        if ru == rv {
-            continue;
-        }
-        uf[ru] = rv;
-        degree[u] += 1;
-        degree[v] += 1;
-        adj[u].push(v);
-        adj[v].push(u);
-        added += 1;
     }
-    // Walk the Hamiltonian path from one endpoint.
-    let start = (0..n).find(|&v| degree[v] <= 1).expect("path has an endpoint");
-    let mut tour = Vec::with_capacity(n);
-    let mut prev = usize::MAX;
-    let mut cur = start;
-    loop {
-        tour.push(cur);
-        let next = adj[cur].iter().copied().find(|&x| x != prev);
-        match next {
-            Some(nx) => {
-                prev = cur;
-                cur = nx;
+
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.root[x] != x {
+            self.root[x] = self.root[self.root[x]];
+            x = self.root[x];
+        }
+        x
+    }
+
+    /// Adds each edge of `edges` (sorted) that can join two fragments;
+    /// returns `true` once the paths form one Hamiltonian path.
+    fn add_in_order(&mut self, edges: &[(u64, usize, usize)]) -> bool {
+        let n = self.root.len();
+        for &(_, u, v) in edges {
+            if self.added == n - 1 {
+                break;
             }
-            None => break,
+            if self.degree[u] >= 2 || self.degree[v] >= 2 {
+                continue;
+            }
+            let (ru, rv) = (self.find(u), self.find(v));
+            if ru == rv {
+                continue;
+            }
+            self.root[ru] = rv;
+            self.adj[u][usize::from(self.degree[u])] = v;
+            self.adj[v][usize::from(self.degree[v])] = u;
+            self.degree[u] += 1;
+            self.degree[v] += 1;
+            self.added += 1;
         }
+        self.added == n - 1
     }
-    debug_assert_eq!(tour.len(), n, "greedy edge must produce a Hamiltonian path");
-    tour
+
+    /// Walks the Hamiltonian path from its lowest-numbered endpoint.
+    fn walk(&self) -> Vec<usize> {
+        let n = self.root.len();
+        let start = (0..n).find(|&v| self.degree[v] <= 1).expect("path has an endpoint");
+        let mut tour = Vec::with_capacity(n);
+        let mut prev = usize::MAX;
+        let mut cur = start;
+        loop {
+            tour.push(cur);
+            let next = self.adj[cur][..usize::from(self.degree[cur])]
+                .iter()
+                .copied()
+                .find(|&x| x != prev);
+            match next {
+                Some(nx) => {
+                    prev = cur;
+                    cur = nx;
+                }
+                None => break,
+            }
+        }
+        debug_assert_eq!(tour.len(), n, "greedy edge must produce a Hamiltonian path");
+        tour
+    }
 }
 
 /// MST-doubling tour: preorder walk of Prim's tree rooted at `root`.
@@ -139,8 +222,17 @@ pub fn mst_preorder<M: Metric + ?Sized>(dist: &M, root: usize) -> Vec<usize> {
     crate::mst::prim_metric(dist, root).preorder()
 }
 
-/// 2-opt descent: repeatedly reverse tour segments while that shortens
-/// the tour; stops at a local optimum or after `max_passes` full sweeps.
+/// 2-opt descent: first-improvement segment reversal.
+///
+/// Each pass scans `(i, j)` position pairs in order from the start of
+/// the tour and applies the first reversal that shortens it by more
+/// than `1e-12`, so at most `max_passes` moves are made. Stops early at
+/// a pass that finds none (a local optimum).
+///
+/// A pair's gain depends only on the tour edges at positions `i` and
+/// `j`, and a reversal changes only the edges inside it. So a row `i`
+/// that had no improving `j` is re-checked only at the edges reversed
+/// since, unless its own edge was: the moves are those of a full rescan.
 ///
 /// Never increases the tour length. O(n²) per pass.
 pub fn two_opt<M: Metric + ?Sized>(dist: &M, tour: &mut [usize], max_passes: usize) {
@@ -148,99 +240,166 @@ pub fn two_opt<M: Metric + ?Sized>(dist: &M, tour: &mut [usize], max_passes: usi
     if n < 4 {
         return;
     }
-    for _ in 0..max_passes {
-        let mut improved = false;
+    // `t[n]` repeats `t[0]`, which no reversal moves, so the closing
+    // edge needs no wrap-around; `edge[p]` is `dist.at(t[p], t[p + 1])`.
+    let mut t = tour.to_vec();
+    t.push(t[0]);
+    let mut edge: Vec<f64> = t.windows(2).map(|w| dist.at(w[0], w[1])).collect();
+    // Move `m` changed the edges `reversed[m - 1]` (inclusive range);
+    // `changed[p]` is the last move that changed edge `p`, and
+    // `checked[i]` the move count when row `i` last had no improving `j`.
+    let mut reversed: Vec<(usize, usize)> = Vec::new();
+    let mut changed = vec![0; n];
+    let mut checked = vec![usize::MAX; n];
+    let mut spans: Vec<(usize, usize)> = Vec::new();
+    'passes: for _ in 0..max_passes {
         for i in 0..n - 1 {
-            let a = tour[i];
-            let b = tour[(i + 1) % n];
-            for j in (i + 2)..n {
-                if i == 0 && j == n - 1 {
-                    continue; // same edge pair
-                }
-                let c = tour[j];
-                let d = tour[(j + 1) % n];
-                let delta = dist.at(a, c) + dist.at(b, d) - dist.at(a, b) - dist.at(c, d);
-                if delta < -1e-12 {
-                    tour[i + 1..=j].reverse();
-                    improved = true;
-                    break; // tour changed; restart inner scan from new edge
-                }
+            let (a, b, ab) = (t[i], t[i + 1], edge[i]);
+            // (0, n - 1) would remove the same two edges.
+            let end = if i == 0 { n - 1 } else { n };
+            spans.clear();
+            let since = checked[i];
+            if since != usize::MAX && changed[i] <= since {
+                spans.extend(
+                    reversed[since..].iter().map(|&(lo, hi)| (lo.max(i + 2), (hi + 1).min(end))),
+                );
+                spans.sort_unstable();
+            } else {
+                spans.push((i + 2, end));
             }
-            if improved {
-                break;
+            let mut from = 0;
+            for &(lo, hi) in &spans {
+                for j in lo.max(from)..hi {
+                    let (c, d) = (t[j], t[j + 1]);
+                    let delta = dist.at(a, c) + dist.at(b, d) - ab - edge[j];
+                    if delta < -1e-12 {
+                        t[i + 1..=j].reverse();
+                        reversed.push((i, j));
+                        for p in i..=j {
+                            edge[p] = dist.at(t[p], t[p + 1]);
+                            changed[p] = reversed.len();
+                        }
+                        continue 'passes;
+                    }
+                }
+                from = from.max(hi);
             }
+            checked[i] = reversed.len();
         }
-        if !improved {
-            return;
-        }
+        break;
     }
+    tour.copy_from_slice(&t[..n]);
 }
 
 /// Or-opt descent: relocate chains of 1–3 consecutive nodes to a better
 /// position. Complements 2-opt (which cannot move single nodes without
 /// reversing). Never increases the tour length.
+///
+/// Each pass scans chain lengths 1, 2, 3, then chain starts, then
+/// insertion edges, in order from the start of the tour, and applies
+/// the first relocation that saves more than `1e-12`, so at most
+/// `max_passes` moves are made. Stops early at a pass that finds none.
+///
+/// A candidate's saving depends only on the chain with its neighbours
+/// `(p, s0..s1, q)` and the insertion edge, the edges a chain skips are
+/// its own, its borders and the one after `q`, and a move creates just
+/// three edges. So a chain that had no improving insertion is re-checked
+/// only at edges created since, while it keeps the same neighbours: the
+/// moves are those of a full rescan.
 pub fn or_opt<M: Metric + ?Sized>(dist: &M, tour: &mut Vec<usize>, max_passes: usize) {
     let n = tour.len();
     if n < 5 {
         return;
     }
-    for _ in 0..max_passes {
-        let mut improved = false;
-        'outer: for seg_len in 1..=3usize {
-            for i in 0..n {
-                // Chain occupies positions i..i+seg_len (no wrap for simplicity).
-                if i + seg_len >= n {
-                    continue;
-                }
-                let prev = if i == 0 { n - 1 } else { i - 1 };
-                let p = tour[prev];
-                let s0 = tour[i];
-                let s1 = tour[i + seg_len - 1];
-                let q = tour[(i + seg_len) % n];
+    // As in `two_opt`, `t[n]` repeats `t[0]` and `edge[p]` is
+    // `dist.at(t[p], t[p + 1])`; `pos` inverts `t`.
+    let mut t = std::mem::take(tour);
+    t.push(t[0]);
+    let mut edge: Vec<f64> = t.windows(2).map(|w| dist.at(w[0], w[1])).collect();
+    let ids = dist.len();
+    let mut pos = vec![0; ids];
+    for (p, &v) in t[..n].iter().enumerate() {
+        pos[v] = p;
+    }
+    // Every move appends the three edges it created to `added`;
+    // `checked[(seg_len - 1) * ids + s0]` is the chain from `s0` that
+    // last had no improving insertion, with `added.len()` at that time.
+    let mut added: Vec<(usize, usize)> = Vec::new();
+    let mut checked = vec![([usize::MAX; 5], 0); 3 * ids];
+    let mut fresh: Vec<usize> = Vec::new();
+    'passes: for _ in 0..max_passes {
+        for seg_len in 1..=3usize {
+            // The chain occupies positions i..i + seg_len (no wrap).
+            for i in 0..n - seg_len {
+                let p = t[if i == 0 { n - 1 } else { i - 1 }];
+                let (s0, s1, q) = (t[i], t[i + seg_len - 1], t[i + seg_len]);
                 let removal_gain = dist.at(p, s0) + dist.at(s1, q) - dist.at(p, q);
                 if removal_gain <= 1e-12 {
                     continue;
                 }
-                // Try inserting between every other consecutive pair.
-                for j in 0..n {
-                    let jn = (j + 1) % n;
-                    // Skip positions overlapping the chain or its borders.
-                    if (j >= prev.min(i) && j <= i + seg_len) || jn == i {
-                        continue;
-                    }
-                    if j >= i && j < i + seg_len {
-                        continue;
-                    }
-                    let a = tour[j];
-                    let b = tour[jn];
-                    let insert_cost = dist.at(a, s0) + dist.at(s1, b) - dist.at(a, b);
-                    if insert_cost < removal_gain - 1e-12 {
-                        // Perform the move on a copy to keep indexing simple.
-                        let chain: Vec<usize> = tour[i..i + seg_len].to_vec();
-                        let mut rest: Vec<usize> = Vec::with_capacity(n);
-                        rest.extend_from_slice(&tour[..i]);
-                        rest.extend_from_slice(&tour[i + seg_len..]);
-                        // Position of `a` in rest:
-                        let pos_a = rest.iter().position(|&x| x == a).unwrap();
-                        let mut next = Vec::with_capacity(n);
-                        next.extend_from_slice(&rest[..=pos_a]);
-                        next.extend_from_slice(&chain);
-                        next.extend_from_slice(&rest[pos_a + 1..]);
-                        *tour = next;
-                        improved = true;
-                        break 'outer;
-                    }
+                let bar = removal_gain - 1e-12;
+                let improves =
+                    |j: usize| dist.at(t[j], s0) + dist.at(s1, t[j + 1]) - edge[j] < bar;
+                // Insertion edges (t[j], t[j + 1]) other than the chain's
+                // own, its border edges and the edge after `q`.
+                let before = if i == 0 { 0..0 } else { 0..i - 1 };
+                let after = i + seg_len + 1..if i == 0 { n - 1 } else { n };
+                let mut chain = [usize::MAX; 5];
+                chain[0] = p;
+                chain[1..seg_len + 2].copy_from_slice(&t[i..=i + seg_len]);
+                let memo = &mut checked[(seg_len - 1) * ids + s0];
+                let hit = if memo.0 == chain {
+                    fresh.clear();
+                    fresh.extend(
+                        added[memo.1..]
+                            .iter()
+                            .filter(|&&(x, y)| t[pos[x] + 1] == y)
+                            .map(|&(x, _)| pos[x])
+                            .filter(|j| before.contains(j) || after.contains(j)),
+                    );
+                    fresh.sort_unstable();
+                    fresh.dedup();
+                    fresh.iter().copied().find(|&j| improves(j))
+                } else {
+                    before.clone().chain(after.clone()).find(|&j| improves(j))
+                };
+                let Some(j) = hit else {
+                    *memo = (chain, added.len());
+                    continue;
+                };
+                added.extend([(p, q), (t[j], s0), (s1, t[j + 1])]);
+                let (lo, hi) = if j < i {
+                    t[j + 1..i + seg_len].rotate_right(seg_len);
+                    (j + 1, i + seg_len - 1)
+                } else {
+                    t[i..=j].rotate_left(seg_len);
+                    (i, j)
+                };
+                t[n] = t[0];
+                for x in lo..=hi {
+                    pos[t[x]] = x;
                 }
+                for x in lo.saturating_sub(1)..=hi {
+                    edge[x] = dist.at(t[x], t[x + 1]);
+                }
+                if lo == 0 {
+                    edge[n - 1] = dist.at(t[n - 1], t[n]);
+                }
+                continue 'passes;
             }
         }
-        if !improved {
-            return;
-        }
+        break;
     }
+    t.pop();
+    *tour = t;
 }
 
 /// Builds a good closed tour: greedy-edge construction followed by 2-opt
 /// and Or-opt descent. The workhorse used by the planners.
+///
+/// `improvement_passes` caps moves, not sweeps: the descents make at most
+/// `improvement_passes` 2-opt moves, then `improvement_passes / 2 + 1`
+/// Or-opt moves and as many 2-opt moves again.
 pub fn build_tour<M: Metric + ?Sized>(dist: &M, improvement_passes: usize) -> Vec<usize> {
     let n = dist.len();
     if n <= 3 {
@@ -251,24 +410,6 @@ pub fn build_tour<M: Metric + ?Sized>(dist: &M, improvement_passes: usize) -> Ve
     or_opt(dist, &mut tour, improvement_passes / 2 + 1);
     two_opt(dist, &mut tour, improvement_passes / 2 + 1);
     tour
-}
-
-/// [`build_tour`] on any [`Metric`] — historically a memoized
-/// [`DistanceMatrix`], now also on-demand (sparse) distance sources.
-pub fn build_tour_with_matrix<M: Metric + ?Sized>(
-    dist: &M,
-    improvement_passes: usize,
-) -> Vec<usize> {
-    build_tour(dist, improvement_passes)
-}
-
-/// [`two_opt`] on any [`Metric`] (see [`build_tour_with_matrix`]).
-pub fn two_opt_with_matrix<M: Metric + ?Sized>(
-    dist: &M,
-    tour: &mut [usize],
-    max_passes: usize,
-) {
-    two_opt(dist, tour, max_passes);
 }
 
 /// Returns `true` iff `tour` is a permutation of `0..n`.

@@ -32,7 +32,11 @@ pub struct PlannerConfig {
     /// kept, so every sensor still receives its full charge; conflict
     /// repair re-establishes the no-overlap constraint if needed).
     pub post_optimize: bool,
-    /// Local-search budget for TSP tour improvement.
+    /// Move cap for TSP tour improvement. Each 2-opt or Or-opt pass
+    /// applies at most one first-improvement move, so the default 30
+    /// allows Appro's line-5 tour 30 2-opt moves, then 16 Or-opt and 16
+    /// more 2-opt moves ([`wrsn_algo::tsp::build_tour`]); post-optimization
+    /// gets 30 2-opt moves per tour.
     pub tsp_passes: usize,
     /// When `true`, planners run the wait-based conflict repair
     /// ([`crate::conflict::repair_waits`]) so every returned schedule is

@@ -168,6 +168,20 @@ impl DistanceMatrix {
         DistanceMatrix { n, data }
     }
 
+    /// Copies any [`Metric`] into a flat table entry by entry — all `n²`
+    /// entries, the diagonal included, with no symmetry assumed (the copy
+    /// is symmetric only if `m` is) — so `at(i, j)` returns the source's
+    /// value bit for bit, at the cost of one index multiply-add instead
+    /// of the source's own lookup.
+    pub fn from_metric<M: Metric + ?Sized>(m: &M) -> DistanceMatrix {
+        let n = m.len();
+        let mut data = Vec::with_capacity(n * n);
+        for i in 0..n {
+            data.extend((0..n).map(|j| m.at(i, j)));
+        }
+        DistanceMatrix { n, data }
+    }
+
     /// The sub-matrix over `indices`, copying entries verbatim (so
     /// gathered distances are bit-identical to the parent's).
     ///
@@ -191,22 +205,14 @@ impl DistanceMatrix {
     /// node gets the **last** index `len()`.
     ///
     /// This is the shared spelling of "append the depot as a virtual
-    /// TSP city" used by the tour splitter and the planners.
+    /// TSP city" used by the tour splitter and the planners: a flat copy
+    /// of the [`VirtualNodeMetric`] view.
     ///
     /// # Panics
     ///
     /// Panics if `extra.len() != self.len()`.
     pub fn with_virtual_node(&self, extra: &[f64]) -> DistanceMatrix {
-        assert_eq!(extra.len(), self.n, "virtual node needs one distance per node");
-        let n = self.n;
-        let m = n + 1;
-        let mut data = vec![0.0; m * m];
-        for i in 0..n {
-            data[i * m..i * m + n].copy_from_slice(&self.data[i * n..(i + 1) * n]);
-            data[i * m + n] = extra[i];
-            data[n * m + i] = extra[i];
-        }
-        DistanceMatrix { n: m, data }
+        DistanceMatrix::from_metric(&VirtualNodeMetric::new(self, extra))
     }
 
     /// Returns a copy with every entry divided by `scale` (e.g. metres →
@@ -448,6 +454,20 @@ mod tests {
                 assert_eq!(view.at(i, j).to_bits(), owned.at(i, j).to_bits(), "({i},{j})");
             }
         }
+    }
+
+    #[test]
+    fn from_metric_copies_every_entry_without_assuming_symmetry() {
+        let asym: Vec<Vec<f64>> =
+            vec![vec![0.0, 1.0, -0.0], vec![2.0, 0.5, 3.0], vec![f64::INFINITY, 4.0, 0.0]];
+        let m = DistanceMatrix::from_metric(&asym);
+        assert_eq!(Metric::len(&m), 3);
+        for (i, row) in asym.iter().enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                assert_eq!(m.at(i, j).to_bits(), x.to_bits(), "({i},{j})");
+            }
+        }
+        assert!(Metric::is_empty(&DistanceMatrix::from_metric(&Vec::<Vec<f64>>::new())));
     }
 
     #[test]

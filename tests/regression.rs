@@ -395,6 +395,64 @@ fn inert_adversary_matches_pinned_serve_digest() {
 /// Pinned alongside [`EXPECTED_INERT_CHAOS`]; refresh the same way.
 const EXPECTED_INERT_ADVERSARY: u64 = 0xa5df_bfb6_8b18_d280;
 
+/// Folds every sojourn's target, start and duration bits, tour by tour
+/// (each tour prefixed by its length), into one order-sensitive hash.
+fn schedule_digest(schedule: &wrsn_core::Schedule) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for tour in &schedule.tours {
+        fnv1a(&mut h, &(tour.sojourns.len() as u64).to_le_bytes());
+        for s in &tour.sojourns {
+            fnv1a(&mut h, &(s.target as u64).to_le_bytes());
+            fnv1a(&mut h, &s.start_s.to_bits().to_le_bytes());
+            fnv1a(&mut h, &s.duration_s.to_bits().to_le_bytes());
+        }
+    }
+    h
+}
+
+/// Drains a fresh network (no charging) until `batch` sensors are
+/// pending and poses them to `k` chargers on the dense context.
+fn pending_problem(net: NetworkBuilder, batch: usize, k: usize) -> wrsn_core::ChargingProblem {
+    let mut net = net.data_rate_bps(1_000.0, 50_000.0).build();
+    let requests = Simulation::warm_up_requests(&mut net, 0.2, batch);
+    assert_eq!(requests.len(), batch);
+    wrsn_core::ChargingProblem::from_network(&net, &requests, k).expect("valid problem")
+}
+
+/// Appro on one shard of the 100k plan: 2000 sensors at the paper's
+/// 0.06 sensors/m², 1300 of them pending (the 100k plan's average per
+/// shard), K = 1 — a core of 702 nodes.
+fn appro_shard_digest() -> u64 {
+    use wrsn_core::Planner;
+
+    let field = wrsn_geom::Rect::square(182.6);
+    let shard = pending_problem(NetworkBuilder::new(2_000).seed(7).field(field), 1_300, 1);
+    schedule_digest(&wrsn_core::Appro::new(PlannerConfig::default()).plan(&shard).unwrap())
+}
+
+/// K-minMax, which tours every request, on the n = 1200, K = 2 network
+/// of Fig 3, in the first round a batch rule of half the network
+/// dispatches (600 requests).
+fn kminmax_fig3_digest() -> u64 {
+    let fig3 = pending_problem(NetworkBuilder::new(1_200).seed(3), 600, 2);
+    schedule_digest(&PlannerKind::KMinMax.build(PlannerConfig::default()).plan(&fig3).unwrap())
+}
+
+/// The digests above run n = 250, whose cores stay below ~60 nodes.
+/// These two pin the tour kernel (greedy-edge, 2-opt, Or-opt, k-split)
+/// where it does real work.
+#[test]
+fn large_tour_kernels_match_pinned_schedule_digests() {
+    let got = appro_shard_digest();
+    assert_eq!(got, EXPECTED_APPRO_SHARD, "Appro shard digest drifted (got {got:#018x})");
+    let got = kminmax_fig3_digest();
+    assert_eq!(got, EXPECTED_KMINMAX_FIG3, "K-minMax digest drifted (got {got:#018x})");
+}
+
+/// Pinned by `print_digests`, like the simulator tables.
+const EXPECTED_APPRO_SHARD: u64 = 0xeff0_0995_9b10_60fb;
+const EXPECTED_KMINMAX_FIG3: u64 = 0xd508_1cbe_7388_3562;
+
 /// Regenerates the tables above: `cargo test --test regression -- --ignored --nocapture`.
 #[test]
 #[ignore = "digest printer, run manually to refresh the pinned tables"]
@@ -413,4 +471,6 @@ fn print_digests() {
         println!("    [{}], // {}", row.join(", "), kind.name());
     }
     println!("];");
+    println!("const EXPECTED_APPRO_SHARD: u64 = {:#018x};", appro_shard_digest());
+    println!("const EXPECTED_KMINMAX_FIG3: u64 = {:#018x};", kminmax_fig3_digest());
 }

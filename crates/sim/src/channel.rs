@@ -109,7 +109,7 @@ pub(crate) struct InFlight {
 /// Constructed only when the model is active.
 #[derive(Clone, Debug)]
 pub(crate) struct ChannelState {
-    model: ChannelModel,
+    pub(crate) model: ChannelModel,
     pub rng: ChaCha12Rng,
     /// Sensor is below the request threshold and wants charging.
     pub wants: Vec<bool>,
@@ -294,38 +294,6 @@ impl ChannelState {
             })
             .map(|s| s.id)
             .collect()
-    }
-
-    /// Exports the RNG stream position for a checkpoint.
-    pub fn rng_words(&self) -> [u32; 33] {
-        self.rng.state_words()
-    }
-
-    /// Rebuilds a mid-run channel state from checkpointed parts; the
-    /// restored RNG continues bit-identically from the export point.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        model: &ChannelModel,
-        rng_words: &[u32; 33],
-        wants: Vec<bool>,
-        delivered: Vec<bool>,
-        attempts: Vec<u32>,
-        next_attempt_s: Vec<f64>,
-        inflight: Vec<InFlight>,
-        lost_requests: usize,
-        duplicates_dropped: usize,
-    ) -> ChannelState {
-        ChannelState {
-            model: *model,
-            rng: ChaCha12Rng::from_state_words(rng_words),
-            wants,
-            delivered,
-            attempts,
-            next_attempt_s,
-            inflight,
-            lost_requests,
-            duplicates_dropped,
-        }
     }
 
     /// The earliest future channel event after `now` (delivery or retry);

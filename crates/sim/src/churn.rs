@@ -85,8 +85,8 @@ impl ChurnModel {
 /// repaired with. Constructed only when the model is active.
 #[derive(Clone, Debug)]
 pub(crate) struct ChurnState {
-    model: ChurnModel,
-    rng: ChaCha12Rng,
+    pub(crate) model: ChurnModel,
+    pub(crate) rng: ChaCha12Rng,
     /// Absolute hardware-failure time per sensor; `INFINITY` once failed.
     pub fail_at: Vec<f64>,
     /// Sensors permanently lost to a hardware failure.
@@ -176,10 +176,9 @@ impl ChurnState {
             if !self.failed[i] && self.fail_at[i] <= now {
                 self.failed[i] = true;
                 self.fail_at[i] = f64::INFINITY;
-                // Mirror the legacy hardware-failure path: a failed
-                // sensor stops consuming, never requests again (its
-                // in-flight request dies with it), and accrues no more
-                // dead time — it is simply gone.
+                // A failed sensor stops consuming, never requests again
+                // (its in-flight request dies with it), and accrues no
+                // more dead time — it is simply gone.
                 let s = &mut net.sensors_mut()[i];
                 s.consumption_w = 0.0;
                 s.residual_j = s.capacity_j;
@@ -239,38 +238,6 @@ impl ChurnState {
             }
         }
         new_failures
-    }
-
-    /// Exports the RNG stream position for a checkpoint.
-    pub fn rng_words(&self) -> [u32; 33] {
-        self.rng.state_words()
-    }
-
-    /// Rebuilds a mid-run churn state from checkpointed parts; the
-    /// restored RNG continues bit-identically from the export point.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        model: &ChurnModel,
-        rng_words: &[u32; 33],
-        fail_at: Vec<f64>,
-        failed: Vec<bool>,
-        alive: Vec<bool>,
-        repairs: usize,
-        cascades: usize,
-        partitioned: usize,
-        violations: usize,
-    ) -> ChurnState {
-        ChurnState {
-            model: *model,
-            rng: ChaCha12Rng::from_state_words(rng_words),
-            fail_at,
-            failed,
-            alive,
-            repairs,
-            cascades,
-            partitioned,
-            violations,
-        }
     }
 }
 

@@ -78,41 +78,6 @@ impl EnergyFleet {
         })
     }
 
-    /// Rebuilds mid-run state from a checkpoint (see
-    /// [`crate::Snapshot`]); the counterpart of the snapshot capture.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        model: &ChargerEnergyModel,
-        residual_j: Vec<f64>,
-        free_at: Vec<f64>,
-        stranded: Vec<bool>,
-        strand_dist_m: Vec<f64>,
-        initial_j: f64,
-        recharged_j: f64,
-        traveled_j: f64,
-        transfer_j: f64,
-        exhaustions: usize,
-        depot_recharges: usize,
-        rescues: usize,
-        dropped_stops: usize,
-    ) -> Self {
-        EnergyFleet {
-            model: *model,
-            residual_j,
-            free_at,
-            stranded,
-            strand_dist_m,
-            initial_j,
-            recharged_j,
-            traveled_j,
-            transfer_j,
-            exhaustions,
-            depot_recharges,
-            rescues,
-            dropped_stops,
-        }
-    }
-
     /// True when charger `c` can be dispatched at `now`: not stranded
     /// and done with any tow or refill in progress.
     pub fn in_service(&self, c: usize, now: f64) -> bool {

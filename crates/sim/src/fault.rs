@@ -97,8 +97,8 @@ impl FaultModel {
 /// the model is active.
 #[derive(Clone, Debug)]
 pub(crate) struct FaultState {
-    model: FaultModel,
-    rng: ChaCha12Rng,
+    pub(crate) model: FaultModel,
+    pub(crate) rng: ChaCha12Rng,
     /// Remaining operating life per charger, seconds of busy time.
     pub life_left: Vec<f64>,
     /// Absolute simulation time each charger is back in service; a
@@ -170,27 +170,6 @@ impl FaultState {
     pub fn breakdown(&mut self, charger: usize, fail_abs: f64) {
         self.available_at[charger] = fail_abs + self.model.charger_repair_s;
         self.life_left[charger] = self.draw_life();
-    }
-
-    /// Exports the RNG stream position for a checkpoint.
-    pub fn rng_words(&self) -> [u32; 33] {
-        self.rng.state_words()
-    }
-
-    /// Rebuilds a mid-run fault state from checkpointed parts; the
-    /// restored RNG continues bit-identically from the export point.
-    pub fn from_parts(
-        model: &FaultModel,
-        rng_words: &[u32; 33],
-        life_left: Vec<f64>,
-        available_at: Vec<f64>,
-    ) -> FaultState {
-        FaultState {
-            model: *model,
-            rng: ChaCha12Rng::from_state_words(rng_words),
-            life_left,
-            available_at,
-        }
     }
 }
 

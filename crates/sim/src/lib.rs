@@ -9,17 +9,25 @@
 //! *dead* until a charger refills it; that dead time is what the
 //! simulator accounts.
 //!
-//! Charging-round model (documented in `DESIGN.md`):
+//! Both simulators run on one kernel that owns the network, the
+//! optional injection layers (charger faults, request channel,
+//! telemetry, topology churn, charger energy), the service ledger,
+//! dead-time accounting and the trace; they differ only in their
+//! dispatch policy (documented in `DESIGN.md` §19):
 //!
-//! - requests accumulate while chargers are away;
-//! - a round is dispatched when all MCVs are at the depot and at least
+//! - [`Simulation`], the round barrier behind the paper's per-round
+//!   metrics: requests accumulate while chargers are away; a round is
+//!   dispatched when all in-service MCVs are at the depot and at least
 //!   `batch_fraction · n` sensors are pending (the paper leaves the
 //!   dispatch policy implicit; the batch rule reproduces its regime of
-//!   large request sets and hour-scale tours);
-//! - during a round, every requested sensor is recharged to full at its
-//!   per-sensor completion time from the schedule replay; all sensors
-//!   keep draining throughout;
-//! - the next round may dispatch as soon as the longest tour returns.
+//!   large request sets and hour-scale tours); every requested sensor
+//!   is recharged at its completion time from the schedule replay while
+//!   all sensors keep draining; the next round may dispatch as soon as
+//!   the longest tour returns. It alone checkpoints and resumes
+//!   ([`Snapshot`]).
+//! - [`AsyncSimulation`], §III-B's per-charger reading: whenever a
+//!   charger is home and requests are pending, it leaves with its own
+//!   tour over a fair share of them.
 //!
 //! # Example
 //!
@@ -44,6 +52,7 @@ mod energy_state;
 mod engine;
 mod fault;
 pub mod fleet;
+mod kernel;
 pub mod persist;
 mod report;
 mod snapshot;
@@ -63,8 +72,8 @@ pub use trace::{IngressRejectReason, Trace, TraceEvent};
 /// Advances every sensor of `sensors` by `dt` seconds of drain and adds
 /// the dead time incurred during the interval to `dead_acc`.
 ///
-/// Exposed for tests and for custom warm-up logic; [`Simulation`] uses it
-/// internally.
+/// Exposed for tests and for custom warm-up logic; the simulators use
+/// it internally.
 pub fn drain_with_dead_accounting(
     sensors: &mut [wrsn_net::Sensor],
     dt: f64,

@@ -32,8 +32,9 @@ pub struct SimReport {
     /// Chronological event trace; empty unless
     /// [`SimConfig::collect_trace`](crate::SimConfig) was set.
     pub trace: crate::Trace,
-    /// Sensors permanently lost to injected hardware failures
-    /// ([`SimConfig::failure_rate_per_year`](crate::SimConfig)).
+    /// Sensors permanently lost to topology churn's hardware failures
+    /// ([`ChurnModel::sensor_mtbf_s`](crate::ChurnModel)); 0 when churn
+    /// is inert.
     pub failed_sensors: usize,
     /// Mid-tour charger breakdowns over the horizon
     /// ([`FaultModel::charger_mtbf_s`](crate::FaultModel)).
@@ -220,7 +221,7 @@ impl SimReport {
     /// Panics if `p` is outside `[0, 100]`.
     pub fn estimator_error_percentile(&self, p: f64) -> f64 {
         let mut abs: Vec<f64> = self.estimate_errors_j.iter().map(|e| e.abs()).collect();
-        abs.sort_by(|a, b| a.partial_cmp(b).expect("errors are finite"));
+        abs.sort_by(f64::total_cmp);
         wrsn_core::stats::percentile(&abs, p)
     }
 

@@ -1,16 +1,15 @@
-//! Crash-safe checkpointing of the synchronous simulation engine.
+//! Crash-safe checkpointing of the round-barrier simulation.
 //!
 //! A [`Snapshot`] captures the *complete* state of a
 //! [`Simulation::run`](crate::Simulation::run) at a round boundary:
-//! sensor energies and consumption rates, the dead-time ledger, the
-//! pre-drawn sensor-failure schedule, every service-ledger counter, the
-//! per-round statistics so far, the fault, request-channel,
-//! telemetry-estimator and topology-churn states
-//! including their exact ChaCha stream positions
-//! ([`ChaCha12Rng::state_words`](rand_chacha::ChaCha12Rng::state_words)),
-//! and the trace ring. Restoring it re-enters the engine loop with
-//! bit-identical state, so a killed-and-resumed run produces a report
-//! equal to the uninterrupted one down to the last `f64` bit.
+//! sensor energies and consumption rates, the dead-time ledger, every
+//! service-ledger counter, the per-round statistics so far, the fault,
+//! request-channel, telemetry-estimator, topology-churn and
+//! charger-energy states including their exact ChaCha stream positions
+//! ([`ChaCha12Rng::state_words`]), and the trace ring. Restoring it
+//! re-enters the run loop with bit-identical state, so a
+//! killed-and-resumed run produces a report equal to the uninterrupted
+//! one down to the last `f64` bit.
 //!
 //! The on-disk format is JSON, but every `f64` is stored as its
 //! `to_bits()` `u64` — the vendored `serde_json` preserves `u64`
@@ -21,17 +20,19 @@
 
 use std::path::{Path, PathBuf};
 
+use rand_chacha::ChaCha12Rng;
 use serde_json::{Map, Number, Value};
 
-use wrsn_net::{Network, SensorId};
+use wrsn_net::SensorId;
 
 use crate::channel::{ChannelState, InFlight};
 use crate::churn::ChurnState;
 use crate::energy_state::EnergyFleet;
 use crate::fault::FaultState;
+use crate::kernel::Ledger;
 use crate::report::RoundStats;
 use crate::telemetry::EnergyEstimator;
-use crate::{Trace, TraceEvent};
+use crate::TraceEvent;
 
 /// Current snapshot format version; bumped on incompatible changes.
 ///
@@ -53,7 +54,12 @@ use crate::{Trace, TraceEvent};
 ///   energy layer draws no random values, so the section carries no RNG
 ///   words. Version-1/-2/-3 files are still accepted; they restore with
 ///   no energy state, which is exactly the state of a pre-energy run.
-const FORMAT_VERSION: u64 = 4;
+/// - 5: drops the root `fail_at` array with the retired legacy
+///   sensor-failure injection (topology churn supersedes it). Older
+///   files are still accepted when their `fail_at` holds no finite
+///   time, i.e. when the run they checkpoint never used that injection;
+///   any other is refused with [`SnapshotError::Unsupported`].
+const FORMAT_VERSION: u64 = 5;
 
 /// Oldest format version [`Snapshot::from_json`] still accepts.
 const OLDEST_SUPPORTED_VERSION: u64 = 1;
@@ -70,6 +76,9 @@ pub enum SnapshotError {
     Corrupt(&'static str),
     /// The snapshot's format version is not supported.
     Version(u64),
+    /// The snapshot records state of a feature this build no longer
+    /// has; the field names it.
+    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -81,114 +90,40 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Version(v) => {
                 write!(f, "unsupported snapshot format version {v}")
             }
+            SnapshotError::Unsupported(what) => {
+                write!(f, "snapshot uses a retired feature: {what}")
+            }
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-/// Checkpointed fault-layer state ([`FaultState`] mid-run).
-#[derive(Clone, Debug)]
-pub(crate) struct FaultSnap {
-    pub rng: [u32; 33],
-    pub life_left: Vec<f64>,
-    pub available_at: Vec<f64>,
-}
-
-/// Checkpointed base-station energy-estimator state
-/// ([`EnergyEstimator`] mid-run).
-#[derive(Clone, Debug)]
-pub(crate) struct TelemetrySnap {
-    pub rng: [u32; 33],
-    pub reported_j: Vec<f64>,
-    pub report_at_s: Vec<f64>,
-    pub next_report_s: Vec<f64>,
-    pub death_flagged: Vec<bool>,
-    pub reports: usize,
-    pub estimate_misses: usize,
-    pub undetected_deaths: usize,
-    pub errors_j: Vec<f64>,
-    pub planned_energy_j: f64,
-    pub delivered_energy_j: f64,
-    pub overcharge_j: f64,
-    pub undercharge_j: f64,
-}
-
-/// Checkpointed topology-churn state ([`ChurnState`] mid-run).
-#[derive(Clone, Debug)]
-pub(crate) struct ChurnSnap {
-    pub rng: [u32; 33],
-    pub fail_at: Vec<f64>,
-    pub failed: Vec<bool>,
-    pub alive: Vec<bool>,
-    pub repairs: usize,
-    pub cascades: usize,
-    pub partitioned: usize,
-    pub violations: usize,
-}
-
-/// Checkpointed charger-battery state ([`EnergyFleet`] mid-run). The
-/// energy layer is fully deterministic, so unlike the other sections
-/// there are no RNG words to save.
-#[derive(Clone, Debug)]
-pub(crate) struct EnergySnap {
-    pub residual_j: Vec<f64>,
-    pub free_at: Vec<f64>,
-    pub stranded: Vec<bool>,
-    pub strand_dist_m: Vec<f64>,
-    pub initial_j: f64,
-    pub recharged_j: f64,
-    pub traveled_j: f64,
-    pub transfer_j: f64,
-    pub exhaustions: usize,
-    pub depot_recharges: usize,
-    pub rescues: usize,
-    pub dropped_stops: usize,
-}
-
-/// Checkpointed request-channel state ([`ChannelState`] mid-run).
-#[derive(Clone, Debug)]
-pub(crate) struct ChannelSnap {
-    pub rng: [u32; 33],
-    pub wants: Vec<bool>,
-    pub delivered: Vec<bool>,
-    pub attempts: Vec<u32>,
-    pub next_attempt_s: Vec<f64>,
-    pub inflight: Vec<InFlight>,
-    pub lost_requests: usize,
-    pub duplicates_dropped: usize,
-}
-
-/// The complete mid-run state of a synchronous [`Simulation`]
-/// (`crate::Simulation`) at a round boundary. Obtain one from a
-/// checkpointing run (`Simulation::checkpoint_to`) via [`Snapshot::read`]
-/// and feed it to `Simulation::resume_from`.
+/// The complete mid-run state of a round-barrier
+/// [`Simulation`](crate::Simulation) at a round boundary. Obtain one
+/// from a checkpointing run (`Simulation::checkpoint_to`) via
+/// [`Snapshot::read`] and feed it to `Simulation::resume_from`.
+///
+/// The layer states are stored as the run held them; their models are
+/// the resuming run's config (a parsed snapshot carries placeholders).
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pub(crate) k: usize,
     pub(crate) round: usize,
     pub(crate) t: f64,
     /// Per-sensor `(residual_j, consumption_w)` — consumption too,
-    /// because failure injection zeroes it mid-run.
+    /// because churn repairs change it mid-run.
     pub(crate) sensors: Vec<(f64, f64)>,
     pub(crate) dead: Vec<f64>,
     pub(crate) dead_since: Vec<Option<f64>>,
-    pub(crate) fail_at: Vec<f64>,
-    pub(crate) failed_sensors: usize,
-    pub(crate) charger_failures: usize,
-    pub(crate) recovery_rounds: usize,
-    pub(crate) charged_sensors: usize,
-    pub(crate) recovered_sensors: usize,
-    pub(crate) deferred_sensors: usize,
-    pub(crate) shed_sensors: usize,
-    pub(crate) escalated_requests: usize,
+    pub(crate) ledger: Ledger,
     pub(crate) deferral_count: Vec<u32>,
     pub(crate) rounds: Vec<RoundStats>,
-    pub(crate) fault: Option<FaultSnap>,
-    pub(crate) channel: Option<ChannelSnap>,
-    pub(crate) telemetry: Option<TelemetrySnap>,
-    pub(crate) churn: Option<ChurnSnap>,
-    pub(crate) energy: Option<EnergySnap>,
+    pub(crate) fault: Option<FaultState>,
+    pub(crate) channel: Option<ChannelState>,
+    pub(crate) telemetry: Option<EnergyEstimator>,
+    pub(crate) churn: Option<ChurnState>,
+    pub(crate) energy: Option<EnergyFleet>,
     pub(crate) trace_dropped: usize,
     pub(crate) trace_events: Vec<TraceEvent>,
 }
@@ -206,19 +141,11 @@ fn f64_of(v: &Value, what: &'static str) -> Result<f64, SnapshotError> {
 }
 
 fn usize_of(v: &Value, what: &'static str) -> Result<usize, SnapshotError> {
-    v.as_u64()
-        .and_then(|u| usize::try_from(u).ok())
-        .ok_or(SnapshotError::Corrupt(what))
+    v.as_u64().and_then(|u| usize::try_from(u).ok()).ok_or(SnapshotError::Corrupt(what))
 }
 
 fn u32_of(v: &Value, what: &'static str) -> Result<u32, SnapshotError> {
-    v.as_u64()
-        .and_then(|u| u32::try_from(u).ok())
-        .ok_or(SnapshotError::Corrupt(what))
-}
-
-fn bool_of(v: &Value, what: &'static str) -> Result<bool, SnapshotError> {
-    v.as_bool().ok_or(SnapshotError::Corrupt(what))
+    v.as_u64().and_then(|u| u32::try_from(u).ok()).ok_or(SnapshotError::Corrupt(what))
 }
 
 fn array<'v>(v: &'v Value, what: &'static str) -> Result<&'v [Value], SnapshotError> {
@@ -229,15 +156,25 @@ fn f64_vec(v: &Value, what: &'static str) -> Result<Vec<f64>, SnapshotError> {
     array(v, what)?.iter().map(|x| f64_of(x, what)).collect()
 }
 
+fn bool_vec(v: &Value, what: &'static str) -> Result<Vec<bool>, SnapshotError> {
+    array(v, what)?.iter().map(|b| b.as_bool().ok_or(SnapshotError::Corrupt(what))).collect()
+}
+
 fn bits_vec(xs: &[f64]) -> Value {
     Value::Array(xs.iter().map(|&x| bits(x)).collect())
 }
 
-fn rng_to_json(words: &[u32; 33]) -> Value {
-    Value::Array(words.iter().map(|&w| Value::Number(Number::U(u64::from(w)))).collect())
+fn bools(xs: &[bool]) -> Value {
+    Value::Array(xs.iter().map(|&b| Value::Bool(b)).collect())
 }
 
-fn rng_of(v: &Value) -> Result<[u32; 33], SnapshotError> {
+fn rng_to_json(rng: &ChaCha12Rng) -> Value {
+    Value::Array(
+        rng.state_words().iter().map(|&w| Value::Number(Number::U(u64::from(w)))).collect(),
+    )
+}
+
+fn rng_of(v: &Value) -> Result<ChaCha12Rng, SnapshotError> {
     let arr = array(v, "rng")?;
     if arr.len() != 33 {
         return Err(SnapshotError::Corrupt("rng word count"));
@@ -246,7 +183,19 @@ fn rng_of(v: &Value) -> Result<[u32; 33], SnapshotError> {
     for (w, x) in words.iter_mut().zip(arr) {
         *w = u32_of(x, "rng word")?;
     }
-    Ok(words)
+    if words[32] > 16 {
+        return Err(SnapshotError::Corrupt("rng word index"));
+    }
+    Ok(ChaCha12Rng::from_state_words(&words))
+}
+
+/// An object from `(key, value)` pairs.
+fn object<const N: usize>(entries: [(&str, Value); N]) -> Value {
+    let mut m = Map::new();
+    for (key, value) in entries {
+        m.insert(key.into(), value);
+    }
+    Value::Object(m)
 }
 
 fn event_to_json(e: &TraceEvent) -> Value {
@@ -321,12 +270,7 @@ fn event_to_json(e: &TraceEvent) -> Value {
             vec![Value::from("dg"), bits(at_s), Value::Number(Number::U(tick))]
         }
         TraceEvent::RequestRejected { at_s, sensor, reason } => {
-            vec![
-                Value::from("rj"),
-                bits(at_s),
-                uint(sensor.index()),
-                uint(reason.code() as usize),
-            ]
+            vec![Value::from("rj"), bits(at_s), uint(sensor.index()), uint(reason.code() as usize)]
         }
         TraceEvent::SensorQuarantined { at_s, sensor, until_s } => {
             vec![Value::from("qn"), bits(at_s), uint(sensor.index()), bits(until_s)]
@@ -347,10 +291,8 @@ fn sensor_id_of(v: &Value) -> Result<SensorId, SnapshotError> {
 
 fn event_of(v: &Value) -> Result<TraceEvent, SnapshotError> {
     let arr = array(v, "trace event")?;
-    let tag = arr
-        .first()
-        .and_then(Value::as_str)
-        .ok_or(SnapshotError::Corrupt("trace event tag"))?;
+    let tag =
+        arr.first().and_then(Value::as_str).ok_or(SnapshotError::Corrupt("trace event tag"))?;
     let field = |i: usize| arr.get(i).ok_or(SnapshotError::Corrupt("trace event arity"));
     let e = match tag {
         "rd" => TraceEvent::RoundDispatched {
@@ -476,119 +418,13 @@ fn event_of(v: &Value) -> Result<TraceEvent, SnapshotError> {
             at_s: f64_of(field(1)?, "trace time")?,
             sensor: sensor_id_of(field(2)?)?,
         },
-        "ix" => TraceEvent::IngressDisconnected {
-            at_s: f64_of(field(1)?, "trace time")?,
-        },
+        "ix" => TraceEvent::IngressDisconnected { at_s: f64_of(field(1)?, "trace time")? },
         _ => return Err(SnapshotError::Corrupt("unknown trace event tag")),
     };
     Ok(e)
 }
 
 impl Snapshot {
-    /// Captures the engine's loop state. Called by the engine at a round
-    /// boundary; all arguments are its live locals.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn capture(
-        k: usize,
-        t: f64,
-        net: &Network,
-        dead: &[f64],
-        dead_since: &[Option<f64>],
-        fail_at: &[f64],
-        failed_sensors: usize,
-        charger_failures: usize,
-        recovery_rounds: usize,
-        charged_sensors: usize,
-        recovered_sensors: usize,
-        deferred_sensors: usize,
-        shed_sensors: usize,
-        escalated_requests: usize,
-        deferral_count: &[u32],
-        rounds: &[RoundStats],
-        fault: Option<&FaultState>,
-        channel: Option<&ChannelState>,
-        telemetry: Option<&EnergyEstimator>,
-        churn: Option<&ChurnState>,
-        energy: Option<&EnergyFleet>,
-        trace: &Trace,
-    ) -> Snapshot {
-        Snapshot {
-            k,
-            round: rounds.len(),
-            t,
-            sensors: net.sensors().iter().map(|s| (s.residual_j, s.consumption_w)).collect(),
-            dead: dead.to_vec(),
-            dead_since: dead_since.to_vec(),
-            fail_at: fail_at.to_vec(),
-            failed_sensors,
-            charger_failures,
-            recovery_rounds,
-            charged_sensors,
-            recovered_sensors,
-            deferred_sensors,
-            shed_sensors,
-            escalated_requests,
-            deferral_count: deferral_count.to_vec(),
-            rounds: rounds.to_vec(),
-            fault: fault.map(|fs| FaultSnap {
-                rng: fs.rng_words(),
-                life_left: fs.life_left.clone(),
-                available_at: fs.available_at.clone(),
-            }),
-            channel: channel.map(|ch| ChannelSnap {
-                rng: ch.rng_words(),
-                wants: ch.wants.clone(),
-                delivered: ch.delivered.clone(),
-                attempts: ch.attempts.clone(),
-                next_attempt_s: ch.next_attempt_s.clone(),
-                inflight: ch.inflight.clone(),
-                lost_requests: ch.lost_requests,
-                duplicates_dropped: ch.duplicates_dropped,
-            }),
-            telemetry: telemetry.map(|tel| TelemetrySnap {
-                rng: tel.rng_words(),
-                reported_j: tel.reported_j.clone(),
-                report_at_s: tel.report_at_s.clone(),
-                next_report_s: tel.next_report_s.clone(),
-                death_flagged: tel.death_flagged.clone(),
-                reports: tel.reports,
-                estimate_misses: tel.estimate_misses,
-                undetected_deaths: tel.undetected_deaths,
-                errors_j: tel.errors_j.clone(),
-                planned_energy_j: tel.planned_energy_j,
-                delivered_energy_j: tel.delivered_energy_j,
-                overcharge_j: tel.overcharge_j,
-                undercharge_j: tel.undercharge_j,
-            }),
-            churn: churn.map(|cs| ChurnSnap {
-                rng: cs.rng_words(),
-                fail_at: cs.fail_at.clone(),
-                failed: cs.failed.clone(),
-                alive: cs.alive.clone(),
-                repairs: cs.repairs,
-                cascades: cs.cascades,
-                partitioned: cs.partitioned,
-                violations: cs.violations,
-            }),
-            energy: energy.map(|ef| EnergySnap {
-                residual_j: ef.residual_j.clone(),
-                free_at: ef.free_at.clone(),
-                stranded: ef.stranded.clone(),
-                strand_dist_m: ef.strand_dist_m.clone(),
-                initial_j: ef.initial_j,
-                recharged_j: ef.recharged_j,
-                traveled_j: ef.traveled_j,
-                transfer_j: ef.transfer_j,
-                exhaustions: ef.exhaustions,
-                depot_recharges: ef.depot_recharges,
-                rescues: ef.rescues,
-                dropped_stops: ef.dropped_stops,
-            }),
-            trace_dropped: trace.dropped(),
-            trace_events: trace.iter().copied().collect(),
-        }
-    }
-
     /// The number of rounds dispatched before this snapshot was taken.
     pub fn round(&self) -> usize {
         self.round
@@ -615,192 +451,134 @@ impl Snapshot {
 
     /// Serializes to the on-disk JSON document.
     pub fn to_json(&self) -> Value {
-        let mut root = Map::new();
-        root.insert("version".into(), Value::Number(Number::U(FORMAT_VERSION)));
-        root.insert("engine".into(), Value::from("sync"));
-        root.insert("k".into(), uint(self.k));
-        root.insert("round".into(), uint(self.round));
-        root.insert("t".into(), bits(self.t));
-        root.insert(
-            "sensors".into(),
-            Value::Array(
-                self.sensors
-                    .iter()
-                    .map(|&(r, c)| Value::Array(vec![bits(r), bits(c)]))
-                    .collect(),
+        let l = &self.ledger;
+        let counters = object([
+            ("failed_sensors", uint(l.failed_sensors)),
+            ("charger_failures", uint(l.charger_failures)),
+            ("recovery_rounds", uint(l.recovery_rounds)),
+            ("charged_sensors", uint(l.charged_sensors)),
+            ("recovered_sensors", uint(l.recovered_sensors)),
+            ("deferred_sensors", uint(l.deferred_sensors)),
+            ("shed_sensors", uint(l.shed_sensors)),
+            ("escalated_requests", uint(l.escalated_requests)),
+        ]);
+        let rounds = self.rounds.iter().map(|r| {
+            Value::Array(vec![
+                bits(r.dispatch_time_s),
+                uint(r.request_count),
+                bits(r.longest_delay_s),
+                bits(r.total_wait_s),
+                uint(r.sojourn_count),
+                bits(r.energy_delivered_j),
+            ])
+        });
+        let fault = self.fault.as_ref().map_or(Value::Null, |f| {
+            object([
+                ("rng", rng_to_json(&f.rng)),
+                ("life_left", bits_vec(&f.life_left)),
+                ("available_at", bits_vec(&f.available_at)),
+            ])
+        });
+        let channel = self.channel.as_ref().map_or(Value::Null, |c| {
+            let inflight = c
+                .inflight
+                .iter()
+                .map(|m| Value::Array(vec![bits(m.deliver_at_s), uint(m.sensor as usize)]));
+            object([
+                ("rng", rng_to_json(&c.rng)),
+                ("wants", bools(&c.wants)),
+                ("delivered", bools(&c.delivered)),
+                ("attempts", Value::Array(c.attempts.iter().map(|&a| uint(a as usize)).collect())),
+                ("next_attempt", bits_vec(&c.next_attempt_s)),
+                ("inflight", Value::Array(inflight.collect())),
+                ("lost", uint(c.lost_requests)),
+                ("dup_dropped", uint(c.duplicates_dropped)),
+            ])
+        });
+        let telemetry = self.telemetry.as_ref().map_or(Value::Null, |tel| {
+            object([
+                ("rng", rng_to_json(&tel.rng)),
+                ("reported", bits_vec(&tel.reported_j)),
+                ("report_at", bits_vec(&tel.report_at_s)),
+                ("next_report", bits_vec(&tel.next_report_s)),
+                ("death_flagged", bools(&tel.death_flagged)),
+                ("reports", uint(tel.reports)),
+                ("misses", uint(tel.estimate_misses)),
+                ("undetected", uint(tel.undetected_deaths)),
+                ("errors", bits_vec(&tel.errors_j)),
+                ("planned", bits(tel.planned_energy_j)),
+                ("delivered", bits(tel.delivered_energy_j)),
+                ("overcharge", bits(tel.overcharge_j)),
+                ("undercharge", bits(tel.undercharge_j)),
+            ])
+        });
+        let churn = self.churn.as_ref().map_or(Value::Null, |c| {
+            object([
+                ("rng", rng_to_json(&c.rng)),
+                ("fail_at", bits_vec(&c.fail_at)),
+                ("failed", bools(&c.failed)),
+                ("alive", bools(&c.alive)),
+                ("repairs", uint(c.repairs)),
+                ("cascades", uint(c.cascades)),
+                ("partitioned", uint(c.partitioned)),
+                ("violations", uint(c.violations)),
+            ])
+        });
+        let energy = self.energy.as_ref().map_or(Value::Null, |e| {
+            object([
+                ("residual", bits_vec(&e.residual_j)),
+                ("free_at", bits_vec(&e.free_at)),
+                ("stranded", bools(&e.stranded)),
+                ("strand_dist", bits_vec(&e.strand_dist_m)),
+                ("initial", bits(e.initial_j)),
+                ("recharged", bits(e.recharged_j)),
+                ("traveled", bits(e.traveled_j)),
+                ("transfer", bits(e.transfer_j)),
+                ("exhaustions", uint(e.exhaustions)),
+                ("depot_recharges", uint(e.depot_recharges)),
+                ("rescues", uint(e.rescues)),
+                ("dropped_stops", uint(e.dropped_stops)),
+            ])
+        });
+        let sensors = self.sensors.iter().map(|&(r, c)| Value::Array(vec![bits(r), bits(c)]));
+        let dead_since = self.dead_since.iter().map(|d| d.map_or(Value::Null, bits));
+        let deferrals = self.deferral_count.iter().map(|&d| uint(d as usize));
+        object([
+            ("version", Value::Number(Number::U(FORMAT_VERSION))),
+            ("engine", Value::from("sync")),
+            ("k", uint(self.k)),
+            ("round", uint(self.round)),
+            ("t", bits(self.t)),
+            ("sensors", Value::Array(sensors.collect())),
+            ("dead", bits_vec(&self.dead)),
+            ("dead_since", Value::Array(dead_since.collect())),
+            ("counters", counters),
+            ("deferral_count", Value::Array(deferrals.collect())),
+            ("rounds", Value::Array(rounds.collect())),
+            ("fault", fault),
+            ("channel", channel),
+            ("telemetry", telemetry),
+            ("churn", churn),
+            ("energy", energy),
+            (
+                "trace",
+                object([
+                    ("dropped", uint(self.trace_dropped)),
+                    ("events", Value::Array(self.trace_events.iter().map(event_to_json).collect())),
+                ]),
             ),
-        );
-        root.insert("dead".into(), bits_vec(&self.dead));
-        root.insert(
-            "dead_since".into(),
-            Value::Array(
-                self.dead_since.iter().map(|d| d.map_or(Value::Null, bits)).collect(),
-            ),
-        );
-        root.insert("fail_at".into(), bits_vec(&self.fail_at));
-        let mut counters = Map::new();
-        counters.insert("failed_sensors".into(), uint(self.failed_sensors));
-        counters.insert("charger_failures".into(), uint(self.charger_failures));
-        counters.insert("recovery_rounds".into(), uint(self.recovery_rounds));
-        counters.insert("charged_sensors".into(), uint(self.charged_sensors));
-        counters.insert("recovered_sensors".into(), uint(self.recovered_sensors));
-        counters.insert("deferred_sensors".into(), uint(self.deferred_sensors));
-        counters.insert("shed_sensors".into(), uint(self.shed_sensors));
-        counters.insert("escalated_requests".into(), uint(self.escalated_requests));
-        root.insert("counters".into(), Value::Object(counters));
-        root.insert(
-            "deferral_count".into(),
-            Value::Array(self.deferral_count.iter().map(|&d| uint(d as usize)).collect()),
-        );
-        root.insert(
-            "rounds".into(),
-            Value::Array(
-                self.rounds
-                    .iter()
-                    .map(|r| {
-                        Value::Array(vec![
-                            bits(r.dispatch_time_s),
-                            uint(r.request_count),
-                            bits(r.longest_delay_s),
-                            bits(r.total_wait_s),
-                            uint(r.sojourn_count),
-                            bits(r.energy_delivered_j),
-                        ])
-                    })
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "fault".into(),
-            self.fault.as_ref().map_or(Value::Null, |f| {
-                let mut m = Map::new();
-                m.insert("rng".into(), rng_to_json(&f.rng));
-                m.insert("life_left".into(), bits_vec(&f.life_left));
-                m.insert("available_at".into(), bits_vec(&f.available_at));
-                Value::Object(m)
-            }),
-        );
-        root.insert(
-            "channel".into(),
-            self.channel.as_ref().map_or(Value::Null, |c| {
-                let mut m = Map::new();
-                m.insert("rng".into(), rng_to_json(&c.rng));
-                m.insert(
-                    "wants".into(),
-                    Value::Array(c.wants.iter().map(|&b| Value::Bool(b)).collect()),
-                );
-                m.insert(
-                    "delivered".into(),
-                    Value::Array(c.delivered.iter().map(|&b| Value::Bool(b)).collect()),
-                );
-                m.insert(
-                    "attempts".into(),
-                    Value::Array(c.attempts.iter().map(|&a| uint(a as usize)).collect()),
-                );
-                m.insert("next_attempt".into(), bits_vec(&c.next_attempt_s));
-                m.insert(
-                    "inflight".into(),
-                    Value::Array(
-                        c.inflight
-                            .iter()
-                            .map(|m| {
-                                Value::Array(vec![
-                                    bits(m.deliver_at_s),
-                                    uint(m.sensor as usize),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                );
-                m.insert("lost".into(), uint(c.lost_requests));
-                m.insert("dup_dropped".into(), uint(c.duplicates_dropped));
-                Value::Object(m)
-            }),
-        );
-        root.insert(
-            "telemetry".into(),
-            self.telemetry.as_ref().map_or(Value::Null, |tel| {
-                let mut m = Map::new();
-                m.insert("rng".into(), rng_to_json(&tel.rng));
-                m.insert("reported".into(), bits_vec(&tel.reported_j));
-                m.insert("report_at".into(), bits_vec(&tel.report_at_s));
-                m.insert("next_report".into(), bits_vec(&tel.next_report_s));
-                m.insert(
-                    "death_flagged".into(),
-                    Value::Array(
-                        tel.death_flagged.iter().map(|&b| Value::Bool(b)).collect(),
-                    ),
-                );
-                m.insert("reports".into(), uint(tel.reports));
-                m.insert("misses".into(), uint(tel.estimate_misses));
-                m.insert("undetected".into(), uint(tel.undetected_deaths));
-                m.insert("errors".into(), bits_vec(&tel.errors_j));
-                m.insert("planned".into(), bits(tel.planned_energy_j));
-                m.insert("delivered".into(), bits(tel.delivered_energy_j));
-                m.insert("overcharge".into(), bits(tel.overcharge_j));
-                m.insert("undercharge".into(), bits(tel.undercharge_j));
-                Value::Object(m)
-            }),
-        );
-        root.insert(
-            "churn".into(),
-            self.churn.as_ref().map_or(Value::Null, |c| {
-                let mut m = Map::new();
-                m.insert("rng".into(), rng_to_json(&c.rng));
-                m.insert("fail_at".into(), bits_vec(&c.fail_at));
-                m.insert(
-                    "failed".into(),
-                    Value::Array(c.failed.iter().map(|&b| Value::Bool(b)).collect()),
-                );
-                m.insert(
-                    "alive".into(),
-                    Value::Array(c.alive.iter().map(|&b| Value::Bool(b)).collect()),
-                );
-                m.insert("repairs".into(), uint(c.repairs));
-                m.insert("cascades".into(), uint(c.cascades));
-                m.insert("partitioned".into(), uint(c.partitioned));
-                m.insert("violations".into(), uint(c.violations));
-                Value::Object(m)
-            }),
-        );
-        root.insert(
-            "energy".into(),
-            self.energy.as_ref().map_or(Value::Null, |e| {
-                let mut m = Map::new();
-                m.insert("residual".into(), bits_vec(&e.residual_j));
-                m.insert("free_at".into(), bits_vec(&e.free_at));
-                m.insert(
-                    "stranded".into(),
-                    Value::Array(e.stranded.iter().map(|&b| Value::Bool(b)).collect()),
-                );
-                m.insert("strand_dist".into(), bits_vec(&e.strand_dist_m));
-                m.insert("initial".into(), bits(e.initial_j));
-                m.insert("recharged".into(), bits(e.recharged_j));
-                m.insert("traveled".into(), bits(e.traveled_j));
-                m.insert("transfer".into(), bits(e.transfer_j));
-                m.insert("exhaustions".into(), uint(e.exhaustions));
-                m.insert("depot_recharges".into(), uint(e.depot_recharges));
-                m.insert("rescues".into(), uint(e.rescues));
-                m.insert("dropped_stops".into(), uint(e.dropped_stops));
-                Value::Object(m)
-            }),
-        );
-        let mut tr = Map::new();
-        tr.insert("dropped".into(), uint(self.trace_dropped));
-        tr.insert(
-            "events".into(),
-            Value::Array(self.trace_events.iter().map(event_to_json).collect()),
-        );
-        root.insert("trace".into(), Value::Object(tr));
-        Value::Object(root)
+        ])
     }
 
-    /// Deserializes a snapshot from its JSON document.
+    /// Deserializes a snapshot from its JSON document. A section that
+    /// is absent (older versions) or `null` restores as an inert layer.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Corrupt`] naming the first invalid element, or
-    /// [`SnapshotError::Version`] for an unsupported format version.
+    /// [`SnapshotError::Corrupt`] naming the first invalid element,
+    /// [`SnapshotError::Version`] for an unsupported format version, or
+    /// [`SnapshotError::Unsupported`] for a pre-v5 file that recorded
+    /// legacy sensor-failure times.
     pub fn from_json(v: &Value) -> Result<Snapshot, SnapshotError> {
         let version = v["version"].as_u64().ok_or(SnapshotError::Corrupt("version"))?;
         if !(OLDEST_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
@@ -809,64 +587,64 @@ impl Snapshot {
         if v["engine"].as_str() != Some("sync") {
             return Err(SnapshotError::Corrupt("engine"));
         }
+        if version < 5 && f64_vec(&v["fail_at"], "fail_at")?.iter().any(|f| f.is_finite()) {
+            return Err(SnapshotError::Unsupported("legacy sensor-failure times (fail_at)"));
+        }
         let sensors = array(&v["sensors"], "sensors")?
             .iter()
-            .map(|p| {
-                let pair = array(p, "sensor pair")?;
-                if pair.len() != 2 {
-                    return Err(SnapshotError::Corrupt("sensor pair"));
-                }
-                Ok((f64_of(&pair[0], "sensor residual")?, f64_of(&pair[1], "sensor rate")?))
+            .map(|p| match array(p, "sensor pair")? {
+                [r, c] => Ok((f64_of(r, "sensor residual")?, f64_of(c, "sensor rate")?)),
+                _ => Err(SnapshotError::Corrupt("sensor pair")),
             })
             .collect::<Result<Vec<_>, _>>()?;
         let dead_since = array(&v["dead_since"], "dead_since")?
             .iter()
-            .map(|d| {
-                if d.is_null() {
-                    Ok(None)
-                } else {
-                    f64_of(d, "dead_since").map(Some)
-                }
-            })
+            .map(|d| if d.is_null() { Ok(None) } else { f64_of(d, "dead_since").map(Some) })
             .collect::<Result<Vec<_>, _>>()?;
-        let counters = &v["counters"];
+        let c = &v["counters"];
+        let ledger = Ledger {
+            failed_sensors: usize_of(&c["failed_sensors"], "failed_sensors")?,
+            charger_failures: usize_of(&c["charger_failures"], "charger_failures")?,
+            recovery_rounds: usize_of(&c["recovery_rounds"], "recovery_rounds")?,
+            charged_sensors: usize_of(&c["charged_sensors"], "charged_sensors")?,
+            recovered_sensors: usize_of(&c["recovered_sensors"], "recovered_sensors")?,
+            deferred_sensors: usize_of(&c["deferred_sensors"], "deferred_sensors")?,
+            shed_sensors: usize_of(&c["shed_sensors"], "shed_sensors")?,
+            escalated_requests: usize_of(&c["escalated_requests"], "escalated_requests")?,
+        };
         let rounds = array(&v["rounds"], "rounds")?
             .iter()
-            .map(|r| {
-                let f = array(r, "round stats")?;
-                if f.len() != 6 {
-                    return Err(SnapshotError::Corrupt("round stats arity"));
-                }
-                Ok(RoundStats {
-                    dispatch_time_s: f64_of(&f[0], "round dispatch time")?,
-                    request_count: usize_of(&f[1], "round request count")?,
-                    longest_delay_s: f64_of(&f[2], "round delay")?,
-                    total_wait_s: f64_of(&f[3], "round wait")?,
-                    sojourn_count: usize_of(&f[4], "round sojourns")?,
-                    energy_delivered_j: f64_of(&f[5], "round energy")?,
-                })
+            .map(|r| match array(r, "round stats")? {
+                [at, requests, delay, wait, sojourns, energy] => Ok(RoundStats {
+                    dispatch_time_s: f64_of(at, "round dispatch time")?,
+                    request_count: usize_of(requests, "round request count")?,
+                    longest_delay_s: f64_of(delay, "round delay")?,
+                    total_wait_s: f64_of(wait, "round wait")?,
+                    sojourn_count: usize_of(sojourns, "round sojourns")?,
+                    energy_delivered_j: f64_of(energy, "round energy")?,
+                }),
+                _ => Err(SnapshotError::Corrupt("round stats arity")),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let fault = match &v["fault"] {
-            Value::Null => None,
-            f => Some(FaultSnap {
+        // Each layer section: `None` when absent (indexing a missing key
+        // yields Null) or an explicit null.
+        let section = |key: &str| Some(&v[key]).filter(|s| !s.is_null());
+        let fault = match section("fault") {
+            None => None,
+            Some(f) => Some(FaultState {
+                model: Default::default(),
                 rng: rng_of(&f["rng"])?,
                 life_left: f64_vec(&f["life_left"], "fault life")?,
                 available_at: f64_vec(&f["available_at"], "fault availability")?,
             }),
         };
-        let channel = match &v["channel"] {
-            Value::Null => None,
-            c => Some(ChannelSnap {
+        let channel = match section("channel") {
+            None => None,
+            Some(c) => Some(ChannelState {
+                model: Default::default(),
                 rng: rng_of(&c["rng"])?,
-                wants: array(&c["wants"], "channel wants")?
-                    .iter()
-                    .map(|b| bool_of(b, "channel wants"))
-                    .collect::<Result<_, _>>()?,
-                delivered: array(&c["delivered"], "channel delivered")?
-                    .iter()
-                    .map(|b| bool_of(b, "channel delivered"))
-                    .collect::<Result<_, _>>()?,
+                wants: bool_vec(&c["wants"], "channel wants")?,
+                delivered: bool_vec(&c["delivered"], "channel delivered")?,
                 attempts: array(&c["attempts"], "channel attempts")?
                     .iter()
                     .map(|a| u32_of(a, "channel attempts"))
@@ -874,34 +652,27 @@ impl Snapshot {
                 next_attempt_s: f64_vec(&c["next_attempt"], "channel retry times")?,
                 inflight: array(&c["inflight"], "channel inflight")?
                     .iter()
-                    .map(|m| {
-                        let pair = array(m, "inflight pair")?;
-                        if pair.len() != 2 {
-                            return Err(SnapshotError::Corrupt("inflight pair"));
-                        }
-                        Ok(InFlight {
-                            deliver_at_s: f64_of(&pair[0], "inflight time")?,
-                            sensor: u32_of(&pair[1], "inflight sensor")?,
-                        })
+                    .map(|m| match array(m, "inflight pair")? {
+                        [at, sensor] => Ok(InFlight {
+                            deliver_at_s: f64_of(at, "inflight time")?,
+                            sensor: u32_of(sensor, "inflight sensor")?,
+                        }),
+                        _ => Err(SnapshotError::Corrupt("inflight pair")),
                     })
                     .collect::<Result<_, _>>()?,
                 lost_requests: usize_of(&c["lost"], "channel lost")?,
                 duplicates_dropped: usize_of(&c["dup_dropped"], "channel duplicates")?,
             }),
         };
-        // Version-1 files have no "telemetry" key; indexing a missing key
-        // yields Null, so both "absent" and explicit null restore as None.
-        let telemetry = match &v["telemetry"] {
-            Value::Null => None,
-            tel => Some(TelemetrySnap {
+        let telemetry = match section("telemetry") {
+            None => None,
+            Some(tel) => Some(EnergyEstimator {
+                model: Default::default(),
                 rng: rng_of(&tel["rng"])?,
                 reported_j: f64_vec(&tel["reported"], "telemetry reported")?,
                 report_at_s: f64_vec(&tel["report_at"], "telemetry report times")?,
                 next_report_s: f64_vec(&tel["next_report"], "telemetry schedule")?,
-                death_flagged: array(&tel["death_flagged"], "telemetry death flags")?
-                    .iter()
-                    .map(|b| bool_of(b, "telemetry death flags"))
-                    .collect::<Result<_, _>>()?,
+                death_flagged: bool_vec(&tel["death_flagged"], "telemetry death flags")?,
                 reports: usize_of(&tel["reports"], "telemetry report count")?,
                 estimate_misses: usize_of(&tel["misses"], "telemetry misses")?,
                 undetected_deaths: usize_of(&tel["undetected"], "telemetry undetected")?,
@@ -912,39 +683,27 @@ impl Snapshot {
                 undercharge_j: f64_of(&tel["undercharge"], "telemetry undercharge")?,
             }),
         };
-        // Version-1/-2 files have no "churn" key; indexing a missing key
-        // yields Null, so both "absent" and explicit null restore as None.
-        let churn = match &v["churn"] {
-            Value::Null => None,
-            c => Some(ChurnSnap {
+        let churn = match section("churn") {
+            None => None,
+            Some(c) => Some(ChurnState {
+                model: Default::default(),
                 rng: rng_of(&c["rng"])?,
                 fail_at: f64_vec(&c["fail_at"], "churn fail times")?,
-                failed: array(&c["failed"], "churn failed mask")?
-                    .iter()
-                    .map(|b| bool_of(b, "churn failed mask"))
-                    .collect::<Result<_, _>>()?,
-                alive: array(&c["alive"], "churn alive mask")?
-                    .iter()
-                    .map(|b| bool_of(b, "churn alive mask"))
-                    .collect::<Result<_, _>>()?,
+                failed: bool_vec(&c["failed"], "churn failed mask")?,
+                alive: bool_vec(&c["alive"], "churn alive mask")?,
                 repairs: usize_of(&c["repairs"], "churn repairs")?,
                 cascades: usize_of(&c["cascades"], "churn cascades")?,
                 partitioned: usize_of(&c["partitioned"], "churn partitioned")?,
                 violations: usize_of(&c["violations"], "churn violations")?,
             }),
         };
-        // Version-1/-2/-3 files have no "energy" key; indexing a missing
-        // key yields Null, so both "absent" and explicit null restore as
-        // None.
-        let energy = match &v["energy"] {
-            Value::Null => None,
-            e => Some(EnergySnap {
+        let energy = match section("energy") {
+            None => None,
+            Some(e) => Some(EnergyFleet {
+                model: Default::default(),
                 residual_j: f64_vec(&e["residual"], "energy residuals")?,
                 free_at: f64_vec(&e["free_at"], "energy free times")?,
-                stranded: array(&e["stranded"], "energy stranded mask")?
-                    .iter()
-                    .map(|b| bool_of(b, "energy stranded mask"))
-                    .collect::<Result<_, _>>()?,
+                stranded: bool_vec(&e["stranded"], "energy stranded mask")?,
                 strand_dist_m: f64_vec(&e["strand_dist"], "energy strand distances")?,
                 initial_j: f64_of(&e["initial"], "energy initial")?,
                 recharged_j: f64_of(&e["recharged"], "energy recharged")?,
@@ -967,21 +726,7 @@ impl Snapshot {
             sensors,
             dead: f64_vec(&v["dead"], "dead")?,
             dead_since,
-            fail_at: f64_vec(&v["fail_at"], "fail_at")?,
-            failed_sensors: usize_of(&counters["failed_sensors"], "failed_sensors")?,
-            charger_failures: usize_of(&counters["charger_failures"], "charger_failures")?,
-            recovery_rounds: usize_of(&counters["recovery_rounds"], "recovery_rounds")?,
-            charged_sensors: usize_of(&counters["charged_sensors"], "charged_sensors")?,
-            recovered_sensors: usize_of(
-                &counters["recovered_sensors"],
-                "recovered_sensors",
-            )?,
-            deferred_sensors: usize_of(&counters["deferred_sensors"], "deferred_sensors")?,
-            shed_sensors: usize_of(&counters["shed_sensors"], "shed_sensors")?,
-            escalated_requests: usize_of(
-                &counters["escalated_requests"],
-                "escalated_requests",
-            )?,
+            ledger,
             deferral_count: array(&v["deferral_count"], "deferral_count")?
                 .iter()
                 .map(|d| u32_of(d, "deferral_count"))
@@ -1026,8 +771,7 @@ impl Snapshot {
     /// [`SnapshotError::Json`] / [`SnapshotError::Corrupt`] /
     /// [`SnapshotError::Version`] if its contents are invalid.
     pub fn read(path: &Path) -> Result<Snapshot, SnapshotError> {
-        let body =
-            std::fs::read_to_string(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
+        let body = std::fs::read_to_string(path).map_err(|e| SnapshotError::Io(e.to_string()))?;
         let v = serde_json::from_str(&body).map_err(|e| SnapshotError::Json(e.to_string()))?;
         Snapshot::from_json(&v)
     }
@@ -1037,6 +781,14 @@ impl Snapshot {
 mod tests {
     use super::*;
 
+    fn rng(seed: u64) -> ChaCha12Rng {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        // Mid-block, so the restored word index is exercised too.
+        rng.next_u32();
+        rng
+    }
+
     fn sample() -> Snapshot {
         Snapshot {
             k: 2,
@@ -1045,15 +797,16 @@ mod tests {
             sensors: vec![(123.456, 0.05), (10_800.0, 0.0)],
             dead: vec![0.0, 42.25],
             dead_since: vec![None, Some(99.5)],
-            fail_at: vec![f64::INFINITY, 1.0e7],
-            failed_sensors: 1,
-            charger_failures: 2,
-            recovery_rounds: 1,
-            charged_sensors: 10,
-            recovered_sensors: 2,
-            deferred_sensors: 3,
-            shed_sensors: 4,
-            escalated_requests: 1,
+            ledger: Ledger {
+                failed_sensors: 1,
+                charger_failures: 2,
+                recovery_rounds: 1,
+                charged_sensors: 10,
+                recovered_sensors: 2,
+                deferred_sensors: 3,
+                shed_sensors: 4,
+                escalated_requests: 1,
+            },
             deferral_count: vec![0, 5],
             rounds: vec![RoundStats {
                 dispatch_time_s: 100.125,
@@ -1063,19 +816,15 @@ mod tests {
                 sojourn_count: 9,
                 energy_delivered_j: 80_000.0,
             }],
-            fault: Some(FaultSnap {
-                rng: {
-                    use rand::SeedableRng;
-                    rand_chacha::ChaCha12Rng::seed_from_u64(1).state_words()
-                },
+            fault: Some(FaultState {
+                model: Default::default(),
+                rng: rng(1),
                 life_left: vec![1.5, f64::INFINITY],
                 available_at: vec![0.0, 7_200.0],
             }),
-            channel: Some(ChannelSnap {
-                rng: {
-                    use rand::SeedableRng;
-                    rand_chacha::ChaCha12Rng::seed_from_u64(2).state_words()
-                },
+            channel: Some(ChannelState {
+                model: Default::default(),
+                rng: rng(2),
                 wants: vec![true, false],
                 delivered: vec![false, false],
                 attempts: vec![3, 0],
@@ -1084,11 +833,9 @@ mod tests {
                 lost_requests: 3,
                 duplicates_dropped: 1,
             }),
-            telemetry: Some(TelemetrySnap {
-                rng: {
-                    use rand::SeedableRng;
-                    rand_chacha::ChaCha12Rng::seed_from_u64(3).state_words()
-                },
+            telemetry: Some(EnergyEstimator {
+                model: Default::default(),
+                rng: rng(3),
                 reported_j: vec![5_000.25, 10_800.0],
                 report_at_s: vec![600.0, 0.0],
                 next_report_s: vec![1_200.0, f64::INFINITY],
@@ -1102,11 +849,9 @@ mod tests {
                 overcharge_j: 500.0,
                 undercharge_j: 25.0,
             }),
-            churn: Some(ChurnSnap {
-                rng: {
-                    use rand::SeedableRng;
-                    rand_chacha::ChaCha12Rng::seed_from_u64(4).state_words()
-                },
+            churn: Some(ChurnState {
+                model: Default::default(),
+                rng: rng(4),
                 fail_at: vec![f64::INFINITY, 2.5e6],
                 failed: vec![true, false],
                 alive: vec![false, true],
@@ -1115,7 +860,8 @@ mod tests {
                 partitioned: 1,
                 violations: 0,
             }),
-            energy: Some(EnergySnap {
+            energy: Some(EnergyFleet {
+                model: Default::default(),
                 residual_j: vec![250_000.0, 0.0],
                 free_at: vec![12_000.0, 13_500.0],
                 stranded: vec![false, true],
@@ -1171,72 +917,11 @@ mod tests {
         }
     }
 
+    /// `Debug` prints every field, each `f64` in its shortest
+    /// round-trip form and each RNG as its raw state, so equal text
+    /// means a bit-exact round trip.
     fn assert_round_trip_equal(a: &Snapshot, b: &Snapshot) {
-        assert_eq!(a.k, b.k);
-        assert_eq!(a.round, b.round);
-        assert_eq!(a.t.to_bits(), b.t.to_bits());
-        assert_eq!(a.sensors.len(), b.sensors.len());
-        for (x, y) in a.sensors.iter().zip(&b.sensors) {
-            assert_eq!(x.0.to_bits(), y.0.to_bits());
-            assert_eq!(x.1.to_bits(), y.1.to_bits());
-        }
-        assert_eq!(a.dead_since, b.dead_since);
-        assert_eq!(
-            a.fail_at.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            b.fail_at.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(a.deferral_count, b.deferral_count);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.trace_dropped, b.trace_dropped);
-        assert_eq!(a.trace_events, b.trace_events);
-        let (fa, fb) = (a.fault.as_ref().unwrap(), b.fault.as_ref().unwrap());
-        assert_eq!(fa.rng, fb.rng);
-        assert_eq!(
-            fa.life_left.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-            fb.life_left.iter().map(|f| f.to_bits()).collect::<Vec<_>>()
-        );
-        let (ca, cb) = (a.channel.as_ref().unwrap(), b.channel.as_ref().unwrap());
-        assert_eq!(ca.rng, cb.rng);
-        assert_eq!(ca.wants, cb.wants);
-        assert_eq!(ca.inflight, cb.inflight);
-        assert_eq!(ca.lost_requests, cb.lost_requests);
-        let (ta, tb) = (a.telemetry.as_ref().unwrap(), b.telemetry.as_ref().unwrap());
-        assert_eq!(ta.rng, tb.rng);
-        let bits_of = |xs: &[f64]| xs.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits_of(&ta.reported_j), bits_of(&tb.reported_j));
-        assert_eq!(bits_of(&ta.report_at_s), bits_of(&tb.report_at_s));
-        assert_eq!(bits_of(&ta.next_report_s), bits_of(&tb.next_report_s));
-        assert_eq!(bits_of(&ta.errors_j), bits_of(&tb.errors_j));
-        assert_eq!(ta.death_flagged, tb.death_flagged);
-        assert_eq!(ta.reports, tb.reports);
-        assert_eq!(ta.estimate_misses, tb.estimate_misses);
-        assert_eq!(ta.undetected_deaths, tb.undetected_deaths);
-        assert_eq!(ta.planned_energy_j.to_bits(), tb.planned_energy_j.to_bits());
-        assert_eq!(ta.delivered_energy_j.to_bits(), tb.delivered_energy_j.to_bits());
-        assert_eq!(ta.overcharge_j.to_bits(), tb.overcharge_j.to_bits());
-        assert_eq!(ta.undercharge_j.to_bits(), tb.undercharge_j.to_bits());
-        let (ua, ub) = (a.churn.as_ref().unwrap(), b.churn.as_ref().unwrap());
-        assert_eq!(ua.rng, ub.rng);
-        assert_eq!(bits_of(&ua.fail_at), bits_of(&ub.fail_at));
-        assert_eq!(ua.failed, ub.failed);
-        assert_eq!(ua.alive, ub.alive);
-        assert_eq!(ua.repairs, ub.repairs);
-        assert_eq!(ua.cascades, ub.cascades);
-        assert_eq!(ua.partitioned, ub.partitioned);
-        assert_eq!(ua.violations, ub.violations);
-        let (ea, eb) = (a.energy.as_ref().unwrap(), b.energy.as_ref().unwrap());
-        assert_eq!(bits_of(&ea.residual_j), bits_of(&eb.residual_j));
-        assert_eq!(bits_of(&ea.free_at), bits_of(&eb.free_at));
-        assert_eq!(ea.stranded, eb.stranded);
-        assert_eq!(bits_of(&ea.strand_dist_m), bits_of(&eb.strand_dist_m));
-        assert_eq!(ea.initial_j.to_bits(), eb.initial_j.to_bits());
-        assert_eq!(ea.recharged_j.to_bits(), eb.recharged_j.to_bits());
-        assert_eq!(ea.traveled_j.to_bits(), eb.traveled_j.to_bits());
-        assert_eq!(ea.transfer_j.to_bits(), eb.transfer_j.to_bits());
-        assert_eq!(ea.exhaustions, eb.exhaustions);
-        assert_eq!(ea.depot_recharges, eb.depot_recharges);
-        assert_eq!(ea.rescues, eb.rescues);
-        assert_eq!(ea.dropped_stops, eb.dropped_stops);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]
@@ -1315,6 +1000,7 @@ mod tests {
         let v = sample().to_json();
         let mut root = Map::new();
         root.insert("version".into(), Value::Number(Number::U(1)));
+        root.insert("fail_at".into(), bits_vec(&[f64::INFINITY; 2]));
         if let Value::Object(m) = &v {
             for (key, val) in m.iter() {
                 match key.as_str() {
@@ -1363,6 +1049,7 @@ mod tests {
         let v = sample().to_json();
         let mut root = Map::new();
         root.insert("version".into(), Value::Number(Number::U(2)));
+        root.insert("fail_at".into(), bits_vec(&[f64::INFINITY; 2]));
         if let Value::Object(m) = &v {
             for (key, val) in m.iter() {
                 match key.as_str() {
@@ -1434,6 +1121,7 @@ mod tests {
         let v = sample().to_json();
         let mut root = Map::new();
         root.insert("version".into(), Value::Number(Number::U(3)));
+        root.insert("fail_at".into(), bits_vec(&[f64::INFINITY; 2]));
         if let Value::Object(m) = &v {
             for (key, val) in m.iter() {
                 match key.as_str() {
@@ -1483,6 +1171,60 @@ mod tests {
         let back = Snapshot::from_json(&v).expect("null energy must parse");
         assert!(back.energy.is_none());
         assert!(!back.energy_active());
+    }
+
+    /// `sample()` as a version-4 writer laid it out: a root `fail_at`
+    /// array holding `fail_at`.
+    fn version_4(fail_at: [f64; 2]) -> Value {
+        let mut v = sample().to_json();
+        if let Value::Object(m) = &mut v {
+            m.insert("version".into(), Value::Number(Number::U(4)));
+            m.insert("fail_at".into(), bits_vec(&fail_at));
+        }
+        v
+    }
+
+    #[test]
+    fn version_5_drops_fail_at() {
+        let v = sample().to_json();
+        assert_eq!(v["version"].as_u64(), Some(5));
+        assert!(v["fail_at"].is_null(), "v5 writes no legacy failure times");
+    }
+
+    #[test]
+    fn version_4_without_failures_still_parses() {
+        let back = Snapshot::from_json(&version_4([f64::INFINITY; 2])).expect("v4 must parse");
+        assert_round_trip_equal(&sample(), &back);
+    }
+
+    #[test]
+    fn legacy_failure_times_are_refused() {
+        // A pre-v5 run that used the retired failure injection cannot be
+        // resumed faithfully: the failures would silently never happen.
+        assert!(matches!(
+            Snapshot::from_json(&version_4([f64::INFINITY, 1.0e7])),
+            Err(SnapshotError::Unsupported(_))
+        ));
+        let mut v = version_4([f64::INFINITY; 2]);
+        if let Value::Object(m) = &mut v {
+            m.insert("fail_at".into(), Value::from("not an array"));
+        }
+        assert_eq!(Snapshot::from_json(&v).err(), Some(SnapshotError::Corrupt("fail_at")));
+    }
+
+    #[test]
+    fn corrupt_rng_word_index_is_an_error_not_a_panic() {
+        let mut v = sample().to_json();
+        if let Value::Object(m) = &mut v {
+            let mut words: Vec<Value> = vec![Value::Number(Number::U(0)); 33];
+            words[32] = Value::Number(Number::U(17));
+            let mut fault = Map::new();
+            fault.insert("rng".into(), Value::Array(words));
+            fault.insert("life_left".into(), bits_vec(&[1.0, 1.0]));
+            fault.insert("available_at".into(), bits_vec(&[0.0, 0.0]));
+            m.insert("fault".into(), Value::Object(fault));
+        }
+        assert_eq!(Snapshot::from_json(&v).err(), Some(SnapshotError::Corrupt("rng word index")));
     }
 
     #[test]

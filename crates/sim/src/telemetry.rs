@@ -134,7 +134,7 @@ impl TelemetryModel {
 /// guard margin, not the filter.
 #[derive(Clone, Debug)]
 pub struct EnergyEstimator {
-    model: TelemetryModel,
+    pub(crate) model: TelemetryModel,
     pub(crate) rng: ChaCha12Rng,
     /// Last reported (or reconciled) residual per sensor, joules.
     pub(crate) reported_j: Vec<f64>,
@@ -364,48 +364,6 @@ impl EnergyEstimator {
             .copied()
             .filter(|&a| a > now)
             .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Exports the RNG stream position for a checkpoint.
-    pub(crate) fn rng_words(&self) -> [u32; 33] {
-        self.rng.state_words()
-    }
-
-    /// Rebuilds a mid-run estimator from checkpointed parts; the
-    /// restored RNG continues bit-identically from the export point.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_parts(
-        model: &TelemetryModel,
-        rng_words: &[u32; 33],
-        reported_j: Vec<f64>,
-        report_at_s: Vec<f64>,
-        next_report_s: Vec<f64>,
-        death_flagged: Vec<bool>,
-        reports: usize,
-        estimate_misses: usize,
-        undetected_deaths: usize,
-        errors_j: Vec<f64>,
-        planned_energy_j: f64,
-        delivered_energy_j: f64,
-        overcharge_j: f64,
-        undercharge_j: f64,
-    ) -> EnergyEstimator {
-        EnergyEstimator {
-            model: *model,
-            rng: ChaCha12Rng::from_state_words(rng_words),
-            reported_j,
-            report_at_s,
-            next_report_s,
-            death_flagged,
-            reports,
-            estimate_misses,
-            undetected_deaths,
-            errors_j,
-            planned_energy_j,
-            delivered_energy_j,
-            overcharge_j,
-            undercharge_j,
-        }
     }
 }
 

@@ -178,18 +178,19 @@ proptest! {
 
 #[test]
 fn failure_injection_reduces_workload() {
-    // Heavy failures shrink demand, so fewer recharges happen.
-    let run = |rate: f64| {
+    // Heavy hardware churn shrinks demand, so fewer recharges happen.
+    let run = |mtbf_days: f64| {
         let net = NetworkBuilder::new(400).seed(25).build();
         let mut cfg = SimConfig::default();
         cfg.horizon_s = days(90.0);
-        cfg.failure_rate_per_year = rate;
+        cfg.churn.sensor_mtbf_s = days(mtbf_days);
+        cfg.churn.seed = 25;
         Simulation::new(net, cfg).unwrap()
             .run(&Appro::new(PlannerConfig::default()), 2)
             .unwrap()
     };
     let healthy = run(0.0);
-    let failing = run(4.0); // most sensors fail within 90 days
+    let failing = run(91.25); // four failures per sensor-year: most fail within 90 days
     assert!(failing.failed_sensors > 200);
     assert!(
         failing.energy_delivered_j() < healthy.energy_delivered_j(),

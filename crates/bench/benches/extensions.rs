@@ -38,12 +38,12 @@
 //!    conservation is asserted on every cell. Archived as
 //!    `target/wrsn-results/churn_cascade.json`.
 //! 10. **Charger energy sweep** — finite MCV batteries (capacity ×
-//!    fleet size, Appro): how many depot detours, exhaustions and
-//!    rescues a given tank forces, how much of the fleet's energy goes
-//!    to travel vs transfer, and what the resulting service degradation
-//!    costs in dead time. The charger energy ledger is asserted to
-//!    reconcile on every cell. Archived as
-//!    `target/wrsn-results/charger_energy.json`.
+//!     fleet size, Appro): how many depot detours, exhaustions and
+//!     rescues a given tank forces, how much of the fleet's energy goes
+//!     to travel vs transfer, and what the resulting service degradation
+//!     costs in dead time. The charger energy ledger is asserted to
+//!     reconcile on every cell. Archived as
+//!     `target/wrsn-results/charger_energy.json`.
 //!
 //! Knobs: `WRSN_INSTANCES` (default 5), `WRSN_HORIZON_DAYS` (default 120).
 

@@ -25,38 +25,38 @@ type CliResult = Result<(), Box<dyn Error>>;
 pub enum ResumeConflict {
     /// The snapshot recorded an active churn model but the command
     /// line leaves churn off (`--sensor-mtbf` absent or 0).
-    SnapshotChurnedFlagsInert,
+    ChurnDropped,
     /// The command line enables churn but the snapshot carries no
     /// churn state to resume it from.
-    SnapshotInertFlagsChurned,
+    ChurnAdded,
     /// The snapshot recorded an active charger energy model but the
     /// command line leaves it off (`--charger-capacity` absent or ∞).
-    SnapshotEnergizedFlagsInert,
+    EnergyDropped,
     /// The command line enables finite charger energy but the snapshot
     /// carries no charger battery state to resume it from.
-    SnapshotInertFlagsEnergized,
+    EnergyAdded,
 }
 
 impl fmt::Display for ResumeConflict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ResumeConflict::SnapshotChurnedFlagsInert => write!(
+            ResumeConflict::ChurnDropped => write!(
                 f,
                 "cannot resume: snapshot was taken with sensor churn active, but the \
                  command line disables it; pass the original --sensor-mtbf/--churn-seed"
             ),
-            ResumeConflict::SnapshotInertFlagsChurned => write!(
+            ResumeConflict::ChurnAdded => write!(
                 f,
                 "cannot resume: --sensor-mtbf enables sensor churn, but the snapshot \
                  carries no churn state; drop the churn flags or restart from round 0"
             ),
-            ResumeConflict::SnapshotEnergizedFlagsInert => write!(
+            ResumeConflict::EnergyDropped => write!(
                 f,
                 "cannot resume: snapshot was taken with finite charger energy active, \
                  but the command line disables it; pass the original --charger-capacity/\
                  --travel-cost/--transfer-efficiency/--recharge-rate flags"
             ),
-            ResumeConflict::SnapshotInertFlagsEnergized => write!(
+            ResumeConflict::EnergyAdded => write!(
                 f,
                 "cannot resume: --charger-capacity enables finite charger energy, but \
                  the snapshot carries no charger battery state; drop the energy flags \
@@ -101,7 +101,7 @@ impl Instance {
             return Err("--k must be at least 1".into());
         }
         if let Some(side) = inst.field_m {
-            if !(side > 0.0) || !side.is_finite() {
+            if !side.is_finite() || side <= 0.0 {
                 return Err("--field must be a positive side length in meters".into());
             }
         }
@@ -455,19 +455,19 @@ pub fn simulate(args: &Args) -> CliResult {
                     .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
                 match (snap.churn_active(), cfg.churn.is_active()) {
                     (true, false) => {
-                        return Err(ResumeConflict::SnapshotChurnedFlagsInert.into())
+                        return Err(ResumeConflict::ChurnDropped.into())
                     }
                     (false, true) => {
-                        return Err(ResumeConflict::SnapshotInertFlagsChurned.into())
+                        return Err(ResumeConflict::ChurnAdded.into())
                     }
                     _ => {}
                 }
                 match (snap.energy_active(), cfg.energy.is_active()) {
                     (true, false) => {
-                        return Err(ResumeConflict::SnapshotEnergizedFlagsInert.into())
+                        return Err(ResumeConflict::EnergyDropped.into())
                     }
                     (false, true) => {
-                        return Err(ResumeConflict::SnapshotInertFlagsEnergized.into())
+                        return Err(ResumeConflict::EnergyAdded.into())
                     }
                     _ => {}
                 }

@@ -280,7 +280,10 @@ proptest! {
                 })
                 .collect()
         }
-        fn bits(s: &Schedule) -> Vec<Vec<(usize, u64, u64, u64, u64)>> {
+        /// A sojourn's target and the bits of its arrival, start and
+        /// duration, plus its tour's return time.
+        type SojournBits = (usize, u64, u64, u64, u64);
+        fn bits(s: &Schedule) -> Vec<Vec<SojournBits>> {
             s.tours
                 .iter()
                 .map(|t| {

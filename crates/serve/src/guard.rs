@@ -616,7 +616,6 @@ mod tests {
             quarantine_strikes: 3,
             quarantine_s: 60.0,
             parole_s: 30.0,
-            ..GuardConfig::default()
         }
     }
 

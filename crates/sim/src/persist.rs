@@ -189,7 +189,7 @@ mod tests {
         struct FailRename;
         impl WriteHooks for FailRename {
             fn before_rename(&mut self) -> io::Result<()> {
-                Err(io::Error::new(io::ErrorKind::Other, "injected"))
+                Err(io::Error::other("injected"))
             }
         }
         let dir = tmp_dir("hook_rename");

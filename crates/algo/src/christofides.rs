@@ -43,21 +43,9 @@ pub fn christofides_tour(dist: &[Vec<f64>], improvement_passes: usize) -> Vec<us
     christofides_tour_metric(dist, improvement_passes)
 }
 
-/// [`christofides_tour`] on any [`Metric`] — historically a memoized
-/// [`DistanceMatrix`], now also on-demand (sparse) distance sources.
-pub fn christofides_tour_with_matrix<M: Metric + ?Sized>(
-    dist: &M,
-    improvement_passes: usize,
-) -> Vec<usize> {
-    christofides_tour_metric(dist, improvement_passes)
-}
-
 /// [`christofides_tour`] over any [`Metric`]; same construction, same
 /// tie-breaking.
-pub fn christofides_tour_metric<M: Metric + ?Sized>(
-    dist: &M,
-    improvement_passes: usize,
-) -> Vec<usize> {
+fn christofides_tour_metric<M: Metric + ?Sized>(dist: &M, improvement_passes: usize) -> Vec<usize> {
     let n = dist.len();
     if n <= 3 {
         return (0..n).collect();
@@ -220,7 +208,7 @@ mod tests {
         let pts = scatter(40, 2);
         let nested = dist_matrix(&pts);
         let flat = wrsn_geom::DistanceMatrix::from_points(&pts);
-        assert_eq!(christofides_tour(&nested, 20), christofides_tour_with_matrix(&flat, 20));
+        assert_eq!(christofides_tour(&nested, 20), christofides_tour_metric(&flat, 20));
     }
 
     #[test]
@@ -230,5 +218,13 @@ mod tests {
         let t = christofides_tour(&d, 5);
         assert!(is_permutation(9, &t));
         assert_eq!(tour_length(&d, &t), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be square")]
+    fn ragged_matrix_panics() {
+        let mut d = dist_matrix(&scatter(6, 0));
+        d[3].pop();
+        let _ = christofides_tour(&d, 5);
     }
 }

@@ -1,6 +1,6 @@
 //! Compact undirected graphs.
 
-use wrsn_geom::{GridIndex, Metric, Point};
+use wrsn_geom::{GridIndex, Point};
 
 /// An undirected graph over vertices `0..n`, stored as sorted adjacency
 /// lists.
@@ -69,29 +69,6 @@ impl Graph {
                     g.add_edge(i, j);
                 }
             });
-        }
-        g
-    }
-
-    /// The unit-disk graph over the points of any [`Metric`]
-    /// (historically a memoized [`DistanceMatrix`]): `i` and `j`
-    /// adjacent iff `dist.at(i, j) <= radius` (boundary inclusive).
-    /// Produces the same graph as [`Graph::unit_disk`] on the underlying
-    /// points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `radius` is negative or non-finite.
-    pub fn unit_disk_with_matrix<M: Metric + ?Sized>(dist: &M, radius: f64) -> Self {
-        assert!(radius.is_finite() && radius >= 0.0, "radius must be non-negative");
-        let n = dist.len();
-        let mut g = Graph::empty(n);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if dist.at(i, j) <= radius {
-                    g.add_edge(i, j);
-                }
-            }
         }
         g
     }
@@ -195,7 +172,6 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wrsn_geom::DistanceMatrix;
 
     #[test]
     fn empty_graph() {
@@ -236,16 +212,6 @@ mod tests {
                 assert_eq!(g.has_edge(i, j), expect, "edge ({i},{j})");
             }
         }
-    }
-
-    #[test]
-    fn unit_disk_with_matrix_matches_point_construction() {
-        let pts: Vec<Point> = (0..50)
-            .map(|i| Point::new((i * 13 % 35) as f64, (i * 29 % 35) as f64))
-            .collect();
-        let m = DistanceMatrix::from_points(&pts);
-        assert_eq!(Graph::unit_disk_with_matrix(&m, 6.5), Graph::unit_disk(&pts, 6.5));
-        assert_eq!(Graph::unit_disk_with_matrix(&m, 2.7), Graph::unit_disk(&pts, 2.7));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use wrsn_geom::{Metric, Point};
+use wrsn_geom::Point;
 
 /// Result of a k-means run.
 #[derive(Clone, Debug, PartialEq)]
@@ -146,123 +146,9 @@ pub fn kmeans(pts: &[Point], k: usize, seed: u64, max_iters: usize) -> KMeans {
     KMeans { labels, centroids, iterations }
 }
 
-/// Result of a k-medoids run over a precomputed distance matrix.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KMedoids {
-    /// `labels[i]` is the cluster (`0..k`) of point `i`.
-    pub labels: Vec<usize>,
-    /// Index of each cluster's medoid point.
-    pub medoids: Vec<usize>,
-    /// Number of assignment/update iterations performed.
-    pub iterations: usize,
-}
-
-impl KMedoids {
-    /// The indices of points in cluster `c`.
-    pub fn cluster(&self, c: usize) -> Vec<usize> {
-        (0..self.labels.len()).filter(|&i| self.labels[i] == c).collect()
-    }
-}
-
-/// Clusters the points of a memoized [`DistanceMatrix`] into `k` groups
-/// around *medoids* (actual points, not synthesized centroids), so the
-/// whole run needs only pairwise distances — no coordinates.
-///
-/// PAM-lite: a k-means++-style seeded initialization over the matrix
-/// distances, then alternating assignment (nearest medoid, lowest index
-/// wins ties) and medoid update (the member minimizing the within-cluster
-/// distance sum). Deterministic for a given `seed`.
-///
-/// If `k >= n` every point is its own medoid (labels `0..n`, extra
-/// medoid slots repeat the last point).
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn kmedoids_with_matrix<M: Metric + ?Sized>(
-    dist: &M,
-    k: usize,
-    seed: u64,
-    max_iters: usize,
-) -> KMedoids {
-    assert!(k > 0, "k must be positive");
-    let n = dist.len();
-    if n == 0 {
-        return KMedoids { labels: Vec::new(), medoids: Vec::new(), iterations: 0 };
-    }
-    if k >= n {
-        let mut medoids: Vec<usize> = (0..n).collect();
-        medoids.resize(k, n - 1);
-        return KMedoids { labels: (0..n).collect(), medoids, iterations: 0 };
-    }
-
-    let mut rng = ChaCha12Rng::seed_from_u64(seed);
-    let mut medoids = Vec::with_capacity(k);
-    medoids.push(rng.gen_range(0..n));
-    let mut d2: Vec<f64> = (0..n)
-        .map(|i| {
-            let d = dist.at(i, medoids[0]);
-            d * d
-        })
-        .collect();
-    while medoids.len() < k {
-        let total: f64 = d2.iter().sum();
-        let next = if total <= 0.0 {
-            rng.gen_range(0..n)
-        } else {
-            WeightedIndex::new(&d2).expect("positive weights").sample(&mut rng)
-        };
-        medoids.push(next);
-        for (i, w) in d2.iter_mut().enumerate() {
-            let d = dist.at(i, next);
-            *w = w.min(d * d);
-        }
-    }
-
-    let mut labels = vec![0usize; n];
-    let mut iterations = 0;
-    for it in 0..max_iters {
-        iterations = it + 1;
-        let mut changed = false;
-        for (i, label) in labels.iter_mut().enumerate() {
-            let best = (0..k)
-                .min_by(|&a, &b| {
-                    dist.at(i, medoids[a]).partial_cmp(&dist.at(i, medoids[b])).unwrap()
-                })
-                .unwrap();
-            if *label != best {
-                *label = best;
-                changed = true;
-            }
-        }
-        if !changed && it > 0 {
-            break;
-        }
-        for (c, medoid) in medoids.iter_mut().enumerate() {
-            let members: Vec<usize> =
-                (0..n).filter(|&i| labels[i] == c).collect();
-            if members.is_empty() {
-                continue; // keep the previous medoid
-            }
-            *medoid = members
-                .iter()
-                .copied()
-                .min_by(|&a, &b| {
-                    let sa: f64 = members.iter().map(|&m| dist.at(a, m)).sum();
-                    let sb: f64 = members.iter().map(|&m| dist.at(b, m)).sum();
-                    sa.partial_cmp(&sb).unwrap()
-                })
-                .expect("non-empty cluster");
-        }
-    }
-
-    KMedoids { labels, medoids, iterations }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wrsn_geom::DistanceMatrix;
 
     fn two_blobs() -> Vec<Point> {
         let mut pts = Vec::new();
@@ -342,37 +228,5 @@ mod tests {
     #[should_panic(expected = "k must be positive")]
     fn zero_k_panics() {
         let _ = kmeans(&[], 0, 0, 1);
-    }
-
-    #[test]
-    fn kmedoids_separates_blobs() {
-        let pts = two_blobs();
-        let m = DistanceMatrix::from_points(&pts);
-        let km = kmedoids_with_matrix(&m, 2, 7, 100);
-        let c0 = km.labels[0];
-        let c1 = km.labels[1];
-        assert_ne!(c0, c1);
-        for i in 0..pts.len() {
-            assert_eq!(km.labels[i], if i % 2 == 0 { c0 } else { c1 });
-        }
-        // Medoids are actual member indices.
-        for (c, &m) in km.medoids.iter().enumerate() {
-            assert_eq!(km.labels[m], c);
-        }
-    }
-
-    #[test]
-    fn kmedoids_deterministic_and_degenerate_cases() {
-        let pts = two_blobs();
-        let m = DistanceMatrix::from_points(&pts);
-        assert_eq!(kmedoids_with_matrix(&m, 3, 5, 50), kmedoids_with_matrix(&m, 3, 5, 50));
-
-        let empty = DistanceMatrix::from_points(&[]);
-        assert!(kmedoids_with_matrix(&empty, 2, 0, 10).labels.is_empty());
-
-        let two = DistanceMatrix::from_points(&[Point::new(0.0, 0.0), Point::new(5.0, 5.0)]);
-        let singletons = kmedoids_with_matrix(&two, 4, 0, 10);
-        assert_eq!(singletons.labels, vec![0, 1]);
-        assert_eq!(singletons.medoids.len(), 4);
     }
 }

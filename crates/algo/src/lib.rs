@@ -33,7 +33,6 @@ pub mod ktour;
 pub mod matching;
 mod mis;
 pub mod mst;
-pub mod three_opt;
 pub mod tsp;
 
 pub use graph::Graph;

@@ -138,27 +138,6 @@ pub fn bottleneck_assignment(cost: &[Vec<f64>]) -> (Vec<usize>, f64) {
     (assignment, thresholds[lo])
 }
 
-/// [`bottleneck_assignment`] over a rectangle of any
-/// [`wrsn_geom::Metric`] (historically a memoized
-/// [`wrsn_geom::DistanceMatrix`]): row `i` of the cost matrix is
-/// `dist.at(rows[i], cols[j])`. Returns `(assignment, bottleneck)` with
-/// `assignment[i]` indexing into `cols`.
-///
-/// # Panics
-///
-/// Panics if `rows.len() > cols.len()` or any index is out of range.
-pub fn bottleneck_assignment_with_matrix<M: wrsn_geom::Metric + ?Sized>(
-    dist: &M,
-    rows: &[usize],
-    cols: &[usize],
-) -> (Vec<usize>, f64) {
-    let cost: Vec<Vec<f64>> = rows
-        .iter()
-        .map(|&r| cols.iter().map(|&c| dist.at(r, c)).collect())
-        .collect();
-    bottleneck_assignment(&cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -74,13 +74,12 @@ pub fn prim(dist: &[Vec<f64>], root: usize) -> Mst {
     prim_metric(dist, root)
 }
 
-/// [`prim`] over any [`Metric`] (nested rows, slices, or a memoized
-/// [`DistanceMatrix`]); same algorithm, same tie-breaking.
+/// [`prim`] over any [`Metric`]; same algorithm, same tie-breaking.
 ///
 /// # Panics
 ///
 /// Panics if `root` is out of range (non-empty metric).
-pub fn prim_metric<M: Metric + ?Sized>(dist: &M, root: usize) -> Mst {
+pub(crate) fn prim_metric<M: Metric + ?Sized>(dist: &M, root: usize) -> Mst {
     let n = dist.len();
     if n == 0 {
         return Mst { parent: Vec::new(), root: 0, weight: 0.0 };
@@ -109,12 +108,6 @@ pub fn prim_metric<M: Metric + ?Sized>(dist: &M, root: usize) -> Mst {
         }
     }
     Mst { parent, root, weight }
-}
-
-/// [`prim`] on any [`Metric`] — historically a memoized
-/// [`DistanceMatrix`], now also on-demand (sparse) distance sources.
-pub fn prim_with_matrix<M: Metric + ?Sized>(dist: &M, root: usize) -> Mst {
-    prim_metric(dist, root)
 }
 
 #[cfg(test)]
@@ -176,5 +169,11 @@ mod tests {
     #[should_panic(expected = "root out of range")]
     fn bad_root_panics() {
         let _ = prim(&[vec![0.0]], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be square")]
+    fn ragged_matrix_panics() {
+        let _ = prim(&[vec![0.0, 1.0], vec![1.0]], 0);
     }
 }

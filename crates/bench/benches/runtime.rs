@@ -62,14 +62,6 @@ fn substrate_runtime(c: &mut Criterion) {
     c.bench_function("kmeans_500_k5", |b| {
         b.iter(|| wrsn_algo::kmeans::kmeans(&pts, 5, 7, 100))
     });
-
-    c.bench_function("kdtree_build_500", |b| {
-        b.iter(|| wrsn_geom::KdTree::build(&pts))
-    });
-    let tree = wrsn_geom::KdTree::build(&pts);
-    c.bench_function("kdtree_within_500", |b| {
-        b.iter(|| tree.within(Point::new(50.0, 50.0), 10.0))
-    });
 }
 
 criterion_group!(benches, planner_runtime, substrate_runtime);

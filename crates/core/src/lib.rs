@@ -51,7 +51,6 @@
 
 mod appro;
 pub mod bounds;
-pub mod budget;
 pub mod conflict;
 mod context;
 pub mod energy;

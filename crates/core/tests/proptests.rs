@@ -113,51 +113,6 @@ proptest! {
         }
     }
 
-    /// Budget enforcement keeps schedules certified and every trip
-    /// within capacity, for any budget large enough to cover the worst
-    /// single stop.
-    #[test]
-    fn budget_enforcement_preserves_feasibility(
-        problem in problem_strategy(30),
-        capacity_scale in 1.2f64..5.0,
-    ) {
-        use wrsn_core::budget::{enforce_budget, ChargerBudget};
-        let mut schedule = Appro::new(PlannerConfig::default()).plan(&problem).unwrap();
-        prop_assume!(schedule.sojourn_count() >= 1);
-        // Worst single-stop round trip under a unit travel cost.
-        let travel = 10.0;
-        let worst = schedule
-            .tours
-            .iter()
-            .flat_map(|t| &t.sojourns)
-            .map(|s| {
-                let p = problem.targets()[s.target].pos;
-                2.0 * travel * problem.depot().dist(p)
-                    + problem.params().eta_w
-                        * s.duration_s
-                        * problem.coverage(s.target).len() as f64
-            })
-            .fold(0.0f64, f64::max);
-        let budget = ChargerBudget {
-            capacity_j: worst * capacity_scale + 1.0,
-            travel_cost_j_per_m: travel,
-            depot_recharge_s: 120.0,
-        };
-        let before_order: Vec<Vec<usize>> =
-            schedule.tours.iter().map(|t| t.visited()).collect();
-        let reports = enforce_budget(&problem, &mut schedule, &budget);
-        for r in &reports {
-            for &e in &r.trip_energy_j {
-                prop_assert!(e <= budget.capacity_j + 1e-6, "trip over budget: {e}");
-            }
-        }
-        let after_order: Vec<Vec<usize>> =
-            schedule.tours.iter().map(|t| t.visited()).collect();
-        prop_assert_eq!(before_order, after_order, "order must be preserved");
-        // Budgeted schedules may need conflict repair again.
-        conflict::repair_waits(&problem, &mut schedule);
-        prop_assert!(schedule.certify(&problem).is_ok(), "{:?}", schedule.certify(&problem));
-    }
 
     /// Metamorphic certifier tests: a certified schedule stops
     /// certifying under each class of corruption the certifier exists to

@@ -27,13 +27,11 @@
 //! ```
 
 mod grid;
-mod kdtree;
 mod matrix;
 mod point;
 mod rect;
 
 pub use grid::GridIndex;
-pub use kdtree::KdTree;
 pub use matrix::{DistanceMatrix, MatrixTooLarge, Metric, VirtualNodeMetric, DENSE_HARD_LIMIT};
 pub use point::{dist_matrix, Point};
 pub use rect::Rect;

@@ -1,7 +1,7 @@
 //! Property-based tests for `wrsn-geom`.
 
 use proptest::prelude::*;
-use wrsn_geom::{dist_matrix, GridIndex, KdTree, Point, Rect};
+use wrsn_geom::{dist_matrix, GridIndex, Point, Rect};
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (-100.0f64..200.0, -100.0f64..200.0).prop_map(|(x, y)| Point::new(x, y))
@@ -66,35 +66,6 @@ proptest! {
                 prop_assert!((m[i][j] - pts[i].dist(pts[j])).abs() < 1e-12);
             }
         }
-    }
-
-    /// The kd-tree and the grid index agree exactly on radius queries.
-    #[test]
-    fn kdtree_equals_grid_index(
-        pts in arb_points(120),
-        q in arb_point(),
-        r in 0.0f64..80.0,
-        cell in 0.5f64..20.0,
-    ) {
-        let grid = GridIndex::build(&pts, cell);
-        let tree = KdTree::build(&pts);
-        let mut a = grid.within(q, r);
-        let mut b = tree.within(q, r);
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b);
-    }
-
-    /// The kd-tree nearest neighbor is at the true minimum distance.
-    #[test]
-    fn kdtree_nearest_is_true_minimum(
-        pts in arb_points(80).prop_filter("nonempty", |v| !v.is_empty()),
-        q in arb_point(),
-    ) {
-        let tree = KdTree::build(&pts);
-        let got = tree.nearest(q).expect("nonempty");
-        let best = pts.iter().map(|p| p.dist2(q)).fold(f64::INFINITY, f64::min);
-        prop_assert!((pts[got].dist2(q) - best).abs() < 1e-9);
     }
 
     /// Clamping puts any point inside the rectangle, and is the identity on

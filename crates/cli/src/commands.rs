@@ -15,14 +15,26 @@ use crate::args::Args;
 
 type CliResult = Result<(), Box<dyn Error>>;
 
-/// `--resume` refused: the churn flags on the command line contradict
-/// the models recorded in the snapshot.
+/// `--resume` refused: the command line contradicts the instance or
+/// the layers recorded in the snapshot.
 ///
-/// A snapshot pins the stochastic layers that produced it; resuming
-/// under different ones would silently diverge from the uninterrupted
-/// run instead of completing it bit-identically.
+/// A snapshot pins the instance and the stochastic layers that
+/// produced it; resuming under different ones would silently diverge
+/// from the uninterrupted run instead of completing it bit-identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ResumeConflict {
+    /// The snapshot's sensor count or fleet size differs from the
+    /// command line's `--n`/`--k`.
+    Instance {
+        /// Sensors in the snapshot.
+        snapshot_n: usize,
+        /// Chargers in the snapshot.
+        snapshot_k: usize,
+        /// Sensors on the command line.
+        n: usize,
+        /// Chargers on the command line.
+        k: usize,
+    },
     /// The snapshot recorded an active churn model but the command
     /// line leaves churn off (`--sensor-mtbf` absent or 0).
     ChurnDropped,
@@ -40,6 +52,11 @@ pub enum ResumeConflict {
 impl fmt::Display for ResumeConflict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ResumeConflict::Instance { snapshot_n, snapshot_k, n, k } => write!(
+                f,
+                "cannot resume: snapshot is for n={snapshot_n} k={snapshot_k}, \
+                 but the command line asks for n={n} k={k}"
+            ),
             ResumeConflict::ChurnDropped => write!(
                 f,
                 "cannot resume: snapshot was taken with sensor churn active, but the \
@@ -453,6 +470,11 @@ pub fn simulate(args: &Args) -> CliResult {
             if let Some(path) = &resume_path {
                 let snap = wrsn_sim::Snapshot::read(path)
                     .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
+                let (n, k) = (inst.n, inst.k);
+                let (snapshot_n, snapshot_k) = (snap.sensor_count(), snap.fleet_size());
+                if (snapshot_n, snapshot_k) != (n, k) {
+                    return Err(ResumeConflict::Instance { snapshot_n, snapshot_k, n, k }.into());
+                }
                 match (snap.churn_active(), cfg.churn.is_active()) {
                     (true, false) => {
                         return Err(ResumeConflict::ChurnDropped.into())

@@ -139,6 +139,35 @@ fn simulate_checkpoint_and_resume_agree() {
 }
 
 #[test]
+fn resume_rejects_another_instance_without_panicking() {
+    let dir = std::env::temp_dir().join("wrsn_cli_instance_ckpt_test");
+    std::fs::remove_dir_all(&dir).ok();
+    let base = ["simulate", "--days", "20", "--seed", "1"];
+    let ckpt = wrsn()
+        .args(base)
+        .args(["--n", "120", "--k", "2", "--checkpoint-every", "5"])
+        .env("CARGO_TARGET_DIR", &dir)
+        .output()
+        .expect("binary runs");
+    assert!(ckpt.status.success(), "{}", String::from_utf8_lossy(&ckpt.stderr));
+    let snap = dir.join("wrsn-results").join("checkpoint_round0005.json");
+    assert!(snap.exists(), "expected {}", snap.display());
+
+    for (n, k) in [("121", "2"), ("120", "3")] {
+        let out = wrsn()
+            .args(base)
+            .args(["--n", n, "--k", k, "--resume", snap.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "n={n} k={k}: {stderr}");
+        assert!(!stderr.contains("panicked"), "n={n} k={k}: {stderr}");
+        assert!(stderr.contains("snapshot is for n=120 k=2"), "n={n} k={k}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resume_rejects_async_dispatch() {
     let out = wrsn()
         .args([

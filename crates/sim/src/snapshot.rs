@@ -435,6 +435,16 @@ impl Snapshot {
         self.t
     }
 
+    /// The number of sensors in the network the snapshot was taken of.
+    pub fn sensor_count(&self) -> usize {
+        self.sensors.len()
+    }
+
+    /// The number of chargers in the fleet the snapshot was taken of.
+    pub fn fleet_size(&self) -> usize {
+        self.k
+    }
+
     /// Whether the snapshot was taken by a run with an active topology
     /// churn layer. The CLI uses this to reject a `--resume` whose
     /// flags contradict the snapshot's recorded models.
@@ -719,7 +729,7 @@ impl Snapshot {
             .iter()
             .map(event_of)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Snapshot {
+        let snap = Snapshot {
             k: usize_of(&v["k"], "k")?,
             round: usize_of(&v["round"], "round")?,
             t: f64_of(&v["t"], "t")?,
@@ -739,7 +749,52 @@ impl Snapshot {
             energy,
             trace_dropped: usize_of(&v["trace"]["dropped"], "trace dropped")?,
             trace_events,
-        })
+        };
+        snap.check_lengths()?;
+        Ok(snap)
+    }
+
+    /// Refuses a per-sensor array without one entry per element of
+    /// `sensors`, or a per-charger array without `k` entries, naming
+    /// the first such array.
+    fn check_lengths(&self) -> Result<(), SnapshotError> {
+        let (n, k) = (self.sensors.len(), self.k);
+        let mut lens = vec![
+            (self.dead.len(), n, "dead"),
+            (self.dead_since.len(), n, "dead_since"),
+            (self.deferral_count.len(), n, "deferral_count"),
+        ];
+        if let Some(f) = &self.fault {
+            lens.push((f.life_left.len(), k, "fault life"));
+            lens.push((f.available_at.len(), k, "fault availability"));
+        }
+        if let Some(c) = &self.channel {
+            lens.push((c.wants.len(), n, "channel wants"));
+            lens.push((c.delivered.len(), n, "channel delivered"));
+            lens.push((c.attempts.len(), n, "channel attempts"));
+            lens.push((c.next_attempt_s.len(), n, "channel retry times"));
+        }
+        if let Some(tel) = &self.telemetry {
+            lens.push((tel.reported_j.len(), n, "telemetry reported"));
+            lens.push((tel.report_at_s.len(), n, "telemetry report times"));
+            lens.push((tel.next_report_s.len(), n, "telemetry schedule"));
+            lens.push((tel.death_flagged.len(), n, "telemetry death flags"));
+        }
+        if let Some(c) = &self.churn {
+            lens.push((c.fail_at.len(), n, "churn fail times"));
+            lens.push((c.failed.len(), n, "churn failed mask"));
+            lens.push((c.alive.len(), n, "churn alive mask"));
+        }
+        if let Some(e) = &self.energy {
+            lens.push((e.residual_j.len(), k, "energy residuals"));
+            lens.push((e.free_at.len(), k, "energy free times"));
+            lens.push((e.stranded.len(), k, "energy stranded mask"));
+            lens.push((e.strand_dist_m.len(), k, "energy strand distances"));
+        }
+        match lens.into_iter().find(|&(len, want, _)| len != want) {
+            Some((_, _, what)) => Err(SnapshotError::Corrupt(what)),
+            None => Ok(()),
+        }
     }
 
     /// Writes the snapshot atomically **and durably** to
@@ -1278,6 +1333,36 @@ mod tests {
             Err(SnapshotError::Corrupt(what)) => assert_eq!(what, "t"),
             other => panic!("expected Corrupt(t), got {other:?}"),
         }
+    }
+
+    /// `m[key]` with its last entry dropped.
+    fn shortened(m: &Map, key: &str) -> Value {
+        let mut xs = m.get(key).and_then(Value::as_array).expect("array").clone();
+        xs.pop();
+        Value::Array(xs)
+    }
+
+    #[test]
+    fn short_per_sensor_array_is_refused() {
+        let mut v = sample().to_json();
+        if let Value::Object(m) = &mut v {
+            m.insert("dead_since".into(), shortened(m, "dead_since"));
+        }
+        assert_eq!(Snapshot::from_json(&v).err(), Some(SnapshotError::Corrupt("dead_since")));
+    }
+
+    #[test]
+    fn short_per_charger_array_is_refused() {
+        let mut v = sample().to_json();
+        if let Value::Object(m) = &mut v {
+            let mut energy = m.get("energy").and_then(Value::as_object).expect("energy").clone();
+            energy.insert("residual".into(), shortened(&energy, "residual"));
+            m.insert("energy".into(), Value::Object(energy));
+        }
+        assert_eq!(
+            Snapshot::from_json(&v).err(),
+            Some(SnapshotError::Corrupt("energy residuals"))
+        );
     }
 
     #[test]

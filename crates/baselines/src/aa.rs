@@ -16,7 +16,7 @@ use wrsn_algo::tsp;
 use wrsn_core::{ChargingProblem, PlanError, Planner, PlannerConfig, Schedule};
 use wrsn_geom::Point;
 
-/// The AA baseline planner. See the [module docs](self).
+/// The AA baseline planner. See the [crate docs](crate).
 #[derive(Clone, Debug)]
 #[derive(Default)]
 pub struct Aa {

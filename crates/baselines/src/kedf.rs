@@ -11,7 +11,7 @@ use wrsn_algo::assignment::hungarian;
 use wrsn_core::{ChargingProblem, PlanError, Planner, PlannerConfig, Schedule};
 use wrsn_geom::Point;
 
-/// The K-EDF baseline planner. See the [module docs](self).
+/// The K-EDF baseline planner. See the [crate docs](crate).
 #[derive(Clone, Debug, Default)]
 pub struct KEdf {
     config: PlannerConfig,

@@ -10,7 +10,7 @@
 use wrsn_algo::ktour::min_max_ktours_with_matrix;
 use wrsn_core::{ChargingProblem, PlanError, Planner, PlannerConfig, Schedule};
 
-/// The K-minMax baseline planner. See the [module docs](self).
+/// The K-minMax baseline planner. See the [crate docs](crate).
 #[derive(Clone, Debug, Default)]
 pub struct KMinMax {
     config: PlannerConfig,

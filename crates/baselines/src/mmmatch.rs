@@ -17,7 +17,7 @@ use wrsn_algo::matching::bottleneck_assignment;
 use wrsn_core::{ChargingProblem, PlanError, Planner, PlannerConfig, Schedule};
 use wrsn_geom::Point;
 
-/// The MM-Match baseline planner. See the [module docs](self).
+/// The MM-Match baseline planner. See the [crate docs](crate).
 #[derive(Clone, Debug, Default)]
 pub struct MmMatch {
     config: PlannerConfig,

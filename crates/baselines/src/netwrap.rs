@@ -14,7 +14,7 @@
 use wrsn_core::{ChargingProblem, PlanError, Planner, PlannerConfig, Schedule};
 use wrsn_geom::Point;
 
-/// The NETWRAP baseline planner. See the [module docs](self).
+/// The NETWRAP baseline planner. See the [crate docs](crate).
 #[derive(Clone, Debug)]
 pub struct Netwrap {
     config: PlannerConfig,

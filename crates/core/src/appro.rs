@@ -33,7 +33,7 @@ use wrsn_algo::{ktour, maximal_independent_set};
 use crate::conflict;
 use crate::{ChargingProblem, PlanError, Planner, PlannerConfig, Schedule};
 
-/// The paper's approximation algorithm. See the [module docs](self).
+/// The paper's approximation algorithm. See the [crate docs](crate).
 ///
 /// # Example
 ///

@@ -256,7 +256,7 @@ enum Backend {
 }
 
 /// Lazily-built, memoized geometry shared by everything that touches one
-/// problem instance. See the [module docs](self).
+/// problem instance. See the [crate docs](crate).
 ///
 /// # Example
 ///

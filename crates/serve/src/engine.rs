@@ -208,9 +208,9 @@ impl ServeConfig {
     }
 }
 
-/// The service's request accounting. See the
-/// [module docs](self#the-ledger-invariant) for the conservation
-/// identity.
+/// The service's request accounting.
+/// [`ServeEngine::ledger_reconciles`] checks its conservation identity,
+/// `admitted = charged + shed + in-flight`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ServeLedger {
     /// Requests accepted (WAL-appended and queued).
@@ -475,7 +475,7 @@ impl ServeReport {
     }
 }
 
-/// The serve engine. See the [module docs](self).
+/// The serve engine. See the [crate docs](crate).
 pub struct ServeEngine {
     cfg: ServeConfig,
     net: Network,

@@ -113,7 +113,7 @@ impl Appro {
         let core: Vec<usize> = core_local.iter().map(|&i| s_i[i]).collect();
 
         // Line 5: min–max K rooted tours over V'_H with service τ(v),
-        // travel times gathered from the context's distance table.
+        // travel times computed from the core's points.
         let sub_dist = problem.context().travel_time_matrix_for(&core)?;
         let sub_depot: Vec<f64> =
             core.iter().map(|&a| problem.depot_travel_time(a)).collect();

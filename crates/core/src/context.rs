@@ -22,30 +22,36 @@
 //!
 //! # Dense vs sparse backends
 //!
-//! The context has two interchangeable backends. **Dense** memoizes the
-//! full `n²` [`DistanceMatrix`] — fast repeated lookups, but the table
-//! is 128 MiB at 4 096 points and physically impossible at 500 k.
-//! **Sparse** answers every query on demand: pairwise distances compute
-//! [`Point::dist`] directly, `N_c⁺(v)` queries go through a grid index,
-//! and a bounded LRU row cache ([`ProblemContext::distance_row`])
-//! serves row-shaped access patterns without ever materializing the
-//! square table. [`ContextMode::Auto`] (the default) picks dense below
-//! the [`DEFAULT_DENSE_LIMIT`] and sparse above it, so small instances
-//! keep the historical fast path and huge ones simply work.
+//! Both backends answer point queries ([`ProblemContext::distance`],
+//! [`ProblemContext::travel_time`]) with a direct [`Point::dist`], and
+//! both fill a sub-instance table
+//! ([`ProblemContext::travel_time_matrix_for`]) from the gathered
+//! points, so planning builds no `n²` table in either mode. They differ
+//! in what a caller may ask for over the whole instance. **Dense**
+//! memoizes the full `n²` [`DistanceMatrix`] the first time a caller asks
+//! for it ([`ProblemContext::distance_matrix`]) — 128 MiB at 4 096
+//! points and physically impossible at 500 k. **Sparse** refuses that
+//! table beyond the dense limit, answers `N_c⁺(v)` queries through a
+//! grid index, and keeps a bounded LRU row cache
+//! ([`ProblemContext::distance_row`]) for row-shaped access patterns.
+//! [`ContextMode::Auto`] (the default) picks dense below the
+//! [`DEFAULT_DENSE_LIMIT`] and sparse above it, so small instances
+//! keep the whole-table accessors and huge ones simply work.
 //!
 //! # Bit-exactness
 //!
 //! All stored distances are **raw meters** straight from
-//! [`Point::dist`]; travel times divide by the speed on access, exactly
-//! as the pre-context code did inline, so every derived quantity is
+//! [`Point::dist`]; travel times divide by the speed, exactly as the
+//! pre-context code did inline, so every derived quantity is
 //! bit-identical to the historical computation. Subcontexts *gather*
-//! entries verbatim from their parent's table instead of recomputing,
-//! which is also bit-identical (see `DistanceMatrix::gather`). The
-//! sparse backend is bit-identical too: a dense entry stores exactly one
-//! `Point::dist` per pair (mirrored), and `Point::dist` is bit-symmetric
-//! (negating both coordinate deltas leaves their squares unchanged), so
-//! recomputing `dist(p_a, p_b)` on demand yields the stored bits — the
-//! property tests in this module and in `tests/properties.rs` pin this.
+//! their whole table verbatim from a dense parent's instead of
+//! recomputing, which is also bit-identical (see
+//! `DistanceMatrix::gather`). Entry `(a, b)` of a memoized table is
+//! `Point::dist(p_a, p_b)`, and `Point::dist` is bit-symmetric (negating
+//! both coordinate deltas leaves their squares unchanged), so computing
+//! `dist(p_a, p_b)` on demand, in either order, yields the stored bits,
+//! and `dist / speed` yields the bits of the table's `scaled_down` — the
+//! tests in this module and in `tests/properties.rs` pin this.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -54,7 +60,7 @@ use std::str::FromStr;
 use std::sync::{Arc, OnceLock, RwLock};
 
 use wrsn_algo::Graph;
-use wrsn_geom::{DistanceMatrix, GridIndex, MatrixTooLarge, Metric, Point};
+use wrsn_geom::{DistanceMatrix, GridIndex, MatrixTooLarge, Point};
 use wrsn_net::Network;
 
 use crate::ChargingParams;
@@ -79,8 +85,9 @@ pub enum ContextError {
     },
     /// A dense table was requested over more points than the threshold
     /// allows (the allocation would be `len²` floats). Raised when
-    /// [`ContextMode::Dense`] is forced on a too-large instance, or when
-    /// a dense accessor is called on a sparse context that big.
+    /// [`ContextMode::Dense`] is forced on a too-large instance, when a
+    /// whole-table accessor is called on a sparse context that big, or
+    /// when a sub-instance table is asked for over that many nodes.
     TooLarge {
         /// Number of points the dense table was requested over.
         len: usize,
@@ -115,9 +122,10 @@ impl From<MatrixTooLarge> for ContextError {
 /// How a [`ProblemContext`] answers distance and neighborhood queries.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ContextMode {
-    /// Memoize the full `n²` [`DistanceMatrix`] (the historical
-    /// behavior). Construction fails with [`ContextError::TooLarge`]
-    /// beyond the dense limit.
+    /// Answer point queries from [`Point::dist`] and memoize the full
+    /// `n²` [`DistanceMatrix`] when a caller asks for the whole table.
+    /// Construction fails with [`ContextError::TooLarge`] beyond the
+    /// dense limit.
     Dense,
     /// Answer queries on demand from the grid index and direct
     /// [`Point::dist`] computation, with a bounded LRU row cache; never
@@ -369,8 +377,8 @@ impl ProblemContext {
     /// by sensor index, in [`ContextMode::Auto`]. Simulation engines
     /// build this once per run and derive per-round
     /// [`subcontext`](Self::subcontext)s from it, so the full pairwise
-    /// table is computed at most once per run (and never at all beyond
-    /// the dense limit).
+    /// table is computed at most once per run, only if a planner asks
+    /// for a whole table, and never beyond the dense limit.
     pub fn for_network(net: &Network, params: ChargingParams) -> Arc<Self> {
         Self::for_network_with_mode(net, params, ContextMode::Auto)
             .expect("auto context mode is infallible")
@@ -393,16 +401,16 @@ impl ProblemContext {
 
     /// Derives the context over the sub-instance `points[indices]`.
     ///
-    /// With a dense parent, the child's distance table and depot
-    /// distances are *gathered* from this context's memoized tables
-    /// (forcing their build), never recomputed — bit-identical and
+    /// With a dense parent, the child's whole distance table, if a
+    /// caller asks for it, is *gathered* from this context's memoized
+    /// table (forcing its build), never recomputed — bit-identical and
     /// cheaper than `n²` square roots. With a sparse parent, the child
     /// resolves [`ContextMode::Auto`] over its own (small) point set and
     /// computes its tables directly from the gathered points — the
     /// parent is **never densified** on this path, and direct
     /// computation over the same points is bit-identical to a gather
-    /// (see `DistanceMatrix` tests). Depot distances still gather from
-    /// the parent's O(n) vector in both modes. Indices may repeat and
+    /// (see `DistanceMatrix` tests). Depot distances gather from the
+    /// parent's O(n) vector in both modes. Indices may repeat and
     /// come in any order; the child's point `a` is
     /// `self.point(indices[a])`.
     ///
@@ -494,8 +502,9 @@ impl ProblemContext {
     }
 
     /// The memoized raw pairwise distance table, meters. Built on first
-    /// access: gathered from the parent for subcontexts, computed from
-    /// points for roots.
+    /// access: gathered from a dense parent for subcontexts, computed
+    /// from points otherwise. No point query or sub-instance table reads
+    /// it, so it exists only once a caller asks for the whole table.
     ///
     /// # Panics
     ///
@@ -530,30 +539,28 @@ impl ProblemContext {
         }))
     }
 
-    /// Raw distance between points `a` and `b`, meters: a dense table
-    /// lookup, or a direct [`Point::dist`] on the sparse backend
-    /// (bit-identical — see the module docs; a cached row is consulted
-    /// first when resident).
+    /// Raw distance between points `a` and `b`, meters: a direct
+    /// [`Point::dist`] on both backends, bit-identical to the memoized
+    /// table's entry (see the module docs). On the sparse backend a
+    /// resident cached row is consulted first.
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range.
     pub fn distance(&self, a: usize, b: usize) -> f64 {
-        match &self.backend {
-            Backend::Dense => self.distance_matrix().at(a, b),
-            Backend::Sparse(s) => match s.cached_at(a, b) {
-                Some(d) => d,
-                None => self.points[a].dist(self.points[b]),
-            },
+        if let Backend::Sparse(s) = &self.backend {
+            if let Some(d) = s.cached_at(a, b) {
+                return d;
+            }
         }
+        self.points[a].dist(self.points[b])
     }
 
-    /// Row `i` of the distance table (meters, length `len()`), shared.
-    /// On the sparse backend the row is computed once and kept in a
+    /// Row `i` of the distance table (meters, length `len()`), shared,
+    /// computed from points. On the sparse backend the row is kept in a
     /// bounded LRU cache, so row-shaped access patterns (nearest-target
     /// scans, repeated reconciliation passes) pay `n` square roots once
-    /// instead of per query. On the dense backend it is copied out of
-    /// the memoized table.
+    /// instead of per query.
     ///
     /// Rows are `O(n)`, so this is allowed at any instance size in both
     /// modes.
@@ -562,12 +569,10 @@ impl ProblemContext {
     ///
     /// Panics if `i` is out of range.
     pub fn distance_row(&self, i: usize) -> Arc<[f64]> {
+        assert!(i < self.len(), "point index out of range");
         match &self.backend {
-            Backend::Dense => Arc::from(self.distance_matrix().row(i)),
-            Backend::Sparse(s) => {
-                assert!(i < self.len(), "point index out of range");
-                s.row(i, &self.points)
-            }
+            Backend::Dense => self.points.iter().map(|p| self.points[i].dist(*p)).collect(),
+            Backend::Sparse(s) => s.row(i, &self.points),
         }
     }
 
@@ -725,18 +730,18 @@ impl ProblemContext {
     }
 
     /// Travel-time matrix over the sub-instance `nodes`, seconds; entry
-    /// `(a, b)` is `travel_time(nodes[a], nodes[b])`. On the dense
-    /// backend this gathers from the memoized table; on the sparse one
-    /// it computes the (small) sub-matrix directly from the gathered
-    /// points — bit-identical, per the `DistanceMatrix` gather/compute
-    /// equivalence.
+    /// `(a, b)` is `travel_time(nodes[a], nodes[b])`. Both backends fill
+    /// it once from the gathered points, without the memoized table, and
+    /// every entry equals the bits of
+    /// `distance_matrix().gather(nodes).scaled_down(speed)` (see the
+    /// module docs).
     ///
     /// # Errors
     ///
     /// Returns [`ContextError::IndexOutOfBounds`] if any node index is
-    /// out of range, and [`ContextError::TooLarge`] on the sparse
-    /// backend when `nodes` itself exceeds the dense limit (the caller
-    /// is asking for a dense table the mode exists to avoid).
+    /// out of range, and [`ContextError::TooLarge`] when `nodes` itself
+    /// exceeds the dense limit (the caller is asking for a dense table
+    /// the limit exists to avoid).
     pub fn travel_time_matrix_for(
         &self,
         nodes: &[usize],
@@ -744,16 +749,11 @@ impl ProblemContext {
         for &i in nodes {
             self.check(i)?;
         }
-        match &self.backend {
-            Backend::Dense => {
-                Ok(self.distance_matrix().gather(nodes).scaled_down(self.speed_mps))
-            }
-            Backend::Sparse(_) => {
-                let pts: Vec<Point> = nodes.iter().map(|&i| self.points[i]).collect();
-                let m = DistanceMatrix::try_from_points(&pts, self.dense_limit)?;
-                Ok(m.scaled_down(self.speed_mps))
-            }
+        if nodes.len() > self.dense_limit {
+            return Err(ContextError::TooLarge { len: nodes.len(), limit: self.dense_limit });
         }
+        let pts: Vec<Point> = nodes.iter().map(|&i| self.points[i]).collect();
+        Ok(DistanceMatrix::from_fn(pts.len(), |a, b| pts[a].dist(pts[b]) / self.speed_mps))
     }
 
     /// Travel-time matrix over `nodes` **plus the depot as the last
@@ -764,8 +764,7 @@ impl ProblemContext {
     ///
     /// # Errors
     ///
-    /// Returns [`ContextError::IndexOutOfBounds`] if any node index is
-    /// out of range.
+    /// Same as [`travel_time_matrix_for`](Self::travel_time_matrix_for).
     pub fn extended_time_matrix(
         &self,
         nodes: &[usize],
@@ -794,6 +793,7 @@ impl ProblemContext {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use wrsn_geom::Metric;
 
     fn params() -> ChargingParams {
         ChargingParams::default()
@@ -859,19 +859,42 @@ mod tests {
         assert_eq!(*ctx.charging_graph(), Graph::unit_disk(&pts, 2.7));
     }
 
+    /// Asserts, in `to_bits()`, that what `ctx` computes from points
+    /// equals its memoized table: `travel_time_matrix_for(nodes)` against
+    /// `distance_matrix().gather(nodes).scaled_down(speed)`, and every
+    /// `distance(a, b)` against `distance_matrix().at(a, b)`.
+    fn assert_computed_matches_memoized(ctx: &ProblemContext, nodes: &[usize]) {
+        let computed = ctx.travel_time_matrix_for(nodes).unwrap();
+        let table = ctx.distance_matrix();
+        let memoized = table.gather(nodes).scaled_down(ctx.speed_mps());
+        for a in 0..nodes.len() {
+            for b in 0..nodes.len() {
+                assert_eq!(computed.at(a, b).to_bits(), memoized.at(a, b).to_bits(), "({a},{b})");
+            }
+        }
+        for a in 0..ctx.len() {
+            for b in 0..ctx.len() {
+                assert_eq!(ctx.distance(a, b).to_bits(), table.at(a, b).to_bits(), "({a},{b})");
+            }
+        }
+    }
+
     #[test]
     fn subcontext_gathers_bit_identical_tables() {
         let pts = scatter(30, 4);
-        let ctx = ProblemContext::new(Point::new(5.0, 5.0), pts.clone(), params());
+        let prm = ChargingParams { speed_mps: 0.7, ..params() };
+        let ctx = ProblemContext::new(Point::new(5.0, 5.0), pts.clone(), prm);
         // Deliberately unsorted, with a repeat.
         let idx = vec![7usize, 2, 29, 2, 11];
         let sub = ctx.subcontext(&idx).unwrap();
         assert_eq!(sub.len(), idx.len());
         assert_eq!(sub.depot(), ctx.depot());
+        assert_computed_matches_memoized(&ctx, &idx);
+        assert_computed_matches_memoized(&sub, &[4, 1, 3, 1, 0]);
 
         // Fresh root over the same sub-points, for comparison.
         let sub_pts: Vec<Point> = idx.iter().map(|&i| pts[i]).collect();
-        let fresh = ProblemContext::new(Point::new(5.0, 5.0), sub_pts, params());
+        let fresh = ProblemContext::new(Point::new(5.0, 5.0), sub_pts, prm);
 
         assert_eq!(sub.distance_matrix(), fresh.distance_matrix());
         for a in 0..idx.len() {
@@ -1105,16 +1128,18 @@ mod tests {
     #[test]
     fn extended_matrix_works_sparse_and_matches_dense() {
         let pts = scatter(25, 12);
-        let dense = ProblemContext::new(Point::new(1.0, 1.0), pts.clone(), params());
+        let prm = ChargingParams { speed_mps: 1.3, ..params() };
+        let dense = ProblemContext::new(Point::new(1.0, 1.0), pts.clone(), prm);
         let sparse = ProblemContext::with_mode_and_limit(
             Point::new(1.0, 1.0),
             pts,
-            params(),
+            prm,
             ContextMode::Sparse,
             8,
         )
         .unwrap();
-        let nodes = [4usize, 19, 0, 11];
+        // Unsorted, with a repeat.
+        let nodes = [4usize, 19, 0, 11, 19];
         let (de, dm) = dense.extended_time_matrix(&nodes).unwrap();
         let (se, sm) = sparse.extended_time_matrix(&nodes).unwrap();
         assert_eq!(dm, sm);
@@ -1123,6 +1148,67 @@ mod tests {
                 assert_eq!(se.at(a, b).to_bits(), de.at(a, b).to_bits());
             }
         }
+        assert_computed_matches_memoized(&dense, &nodes);
+        // A dense child of the sparse parent, as a plan shard is.
+        let child = sparse.subcontext(&[21, 6, 13, 6, 2]).unwrap();
+        assert!(!child.is_sparse());
+        assert_computed_matches_memoized(&child, &[3, 0, 1, 4, 0]);
+    }
+
+    #[test]
+    fn planning_builds_no_square_table() {
+        use crate::{Appro, ChargingProblem, ChargingTarget, Planner, PlannerConfig};
+        use wrsn_net::{InitialCharge, NetworkBuilder, SensorId};
+
+        let appro = Appro::new(PlannerConfig { post_optimize: true, ..Default::default() });
+        let plan = |problem: &ChargingProblem| {
+            let schedule = appro.plan(problem).unwrap();
+            schedule.certify(problem).unwrap();
+            assert!(schedule.sojourn_count() > 0);
+        };
+        let no_table = |ctx: &ProblemContext| ctx.dist.get().is_none();
+
+        // A dense root.
+        let targets: Vec<ChargingTarget> = scatter(60, 13)
+            .into_iter()
+            .enumerate()
+            .map(|(i, pos)| ChargingTarget {
+                id: SensorId(i as u32),
+                pos,
+                charge_duration_s: 600.0 + i as f64,
+                residual_lifetime_s: f64::INFINITY,
+            })
+            .collect();
+        let depot = Point::new(1.0, 1.0);
+        let root = ChargingProblem::new(depot, targets.clone(), 2, params()).unwrap();
+        assert!(!root.context().is_sparse());
+        plan(&root);
+        assert!(no_table(root.context()), "dense root");
+
+        // A dense shard of a sparse parent, as the sharded planner makes.
+        let parent =
+            ChargingProblem::new_with_mode(depot, targets, 2, params(), ContextMode::Sparse)
+                .unwrap();
+        let cell: Vec<usize> = (0..60).step_by(2).collect();
+        let shard = parent.restrict(&cell, 1).unwrap();
+        assert!(!shard.context().is_sparse());
+        plan(&shard);
+        assert!(no_table(shard.context()), "dense shard of a sparse parent");
+
+        // A per-round problem over a dense network context, as the
+        // simulator builds.
+        let net = NetworkBuilder::new(150)
+            .seed(4)
+            .initial_charge(InitialCharge::UniformFraction { lo: 0.05, hi: 0.5 })
+            .build();
+        let ctx = ProblemContext::for_network(&net, params());
+        assert!(!ctx.is_sparse());
+        let requests = net.default_requesting_sensors();
+        let round =
+            ChargingProblem::from_network_in_context(&ctx, &net, &requests, 2, params()).unwrap();
+        plan(&round);
+        assert!(no_table(round.context()), "per-round problem");
+        assert!(no_table(&ctx), "network context");
     }
 
     proptest! {

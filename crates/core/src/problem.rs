@@ -497,8 +497,7 @@ impl ChargingProblem {
         self.targets[i].charge_duration_s
     }
 
-    /// Travel time between targets `a` and `b`, seconds (memoized in the
-    /// shared context).
+    /// Travel time between targets `a` and `b`, seconds.
     pub fn travel_time(&self, a: usize, b: usize) -> f64 {
         self.ctx.travel_time(a, b)
     }

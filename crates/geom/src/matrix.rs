@@ -1,22 +1,22 @@
-//! Memoized pairwise-distance storage and the [`Metric`] abstraction.
+//! Dense pairwise-distance storage and the [`Metric`] abstraction.
 //!
 //! Every layer above geometry — MST, Christofides, TSP improvement, the
 //! min–max tour splitter, the planners, the simulators — consumes
-//! pairwise distances. Recomputing `Point::dist` per lookup is wasteful
-//! once the same instance is queried repeatedly (bench sweeps, repeated
-//! simulation rounds, recovery re-planning), so [`DistanceMatrix`]
-//! computes each pair once into a flat symmetric table.
+//! pairwise distances. A tour kernel reads the same pairs many times, so
+//! [`DistanceMatrix`] computes each entry once into a flat row-major
+//! table.
 //!
 //! [`Metric`] is the index-based distance abstraction the algorithm
 //! crate's cores are generic over: a nested `Vec<Vec<f64>>`, a slice of
 //! rows, and a flat [`DistanceMatrix`] all satisfy it, so callers can
 //! hand whichever representation they already have without a copy.
 //!
-//! Bit-exactness contract: `DistanceMatrix::from_points` performs the
-//! *same* float operations in the same order as [`crate::dist_matrix`]
-//! (one `Point::dist` per unordered pair, mirrored), so a stored entry
-//! is bit-identical to the direct computation. Gathered sub-matrices
-//! copy entries verbatim.
+//! Bit-exactness contract: entry `(i, j)` of
+//! `DistanceMatrix::from_points` is `pts[i].dist(pts[j])`, computed for
+//! each ordered pair, with a `+0.0` diagonal. `Point::dist` is
+//! bit-symmetric (negating both coordinate deltas leaves their squares
+//! unchanged), so the table equals [`crate::dist_matrix`]'s mirrored one
+//! bit for bit. Gathered sub-matrices copy entries verbatim.
 
 use std::error::Error;
 use std::fmt;
@@ -112,10 +112,9 @@ pub struct DistanceMatrix {
 }
 
 impl DistanceMatrix {
-    /// Builds the Euclidean distance matrix of `pts`.
-    ///
-    /// Performs exactly one [`Point::dist`] per unordered pair and
-    /// mirrors it, matching [`crate::dist_matrix`] bit for bit.
+    /// Builds the Euclidean distance matrix of `pts`: entry `(i, j)` is
+    /// `pts[i].dist(pts[j])`, matching [`crate::dist_matrix`] bit for
+    /// bit (see the module docs).
     ///
     /// # Panics
     ///
@@ -143,27 +142,21 @@ impl DistanceMatrix {
         if n > limit {
             return Err(MatrixTooLarge { len: n, limit });
         }
-        let mut data = vec![0.0; n * n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = pts[i].dist(pts[j]);
-                data[i * n + j] = d;
-                data[j * n + i] = d;
-            }
-        }
-        Ok(DistanceMatrix { n, data })
+        Ok(Self::from_fn(n, |i, j| pts[i].dist(pts[j])))
     }
 
-    /// Builds an `n × n` matrix from an entry function, mirroring
-    /// `f(i, j)` for `i < j` with a zero diagonal.
+    /// Builds an `n × n` matrix from an entry function, row by row:
+    /// `f(i, j)` is called once for every ordered pair `i ≠ j`, in
+    /// row-major order, and the diagonal is `+0.0` without a call. Each
+    /// entry is written once, in order, so filling a table larger than
+    /// the cache makes no strided writes. The result is symmetric iff
+    /// `f` is.
     pub fn from_fn<F: FnMut(usize, usize) -> f64>(n: usize, mut f: F) -> DistanceMatrix {
-        let mut data = vec![0.0; n * n];
+        let mut data = Vec::with_capacity(n * n);
         for i in 0..n {
-            for j in (i + 1)..n {
-                let d = f(i, j);
-                data[i * n + j] = d;
-                data[j * n + i] = d;
-            }
+            data.extend((0..i).map(|j| f(i, j)));
+            data.push(0.0);
+            data.extend((i + 1..n).map(|j| f(i, j)));
         }
         DistanceMatrix { n, data }
     }
@@ -322,6 +315,31 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn from_fn_calls_both_orders_row_major_and_never_the_diagonal() {
+        let n = 5;
+        let mut calls = Vec::new();
+        // Asymmetric, and -0.0 on the diagonal should it ever be asked.
+        let m = DistanceMatrix::from_fn(n, |i, j| {
+            calls.push((i, j));
+            if i == j {
+                -0.0
+            } else {
+                (10 * i + j) as f64
+            }
+        });
+        let off_diagonal: Vec<(usize, usize)> =
+            (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).filter(|(i, j)| i != j).collect();
+        assert_eq!(calls, off_diagonal);
+        for i in 0..n {
+            assert_eq!(m.at(i, i).to_bits(), 0.0f64.to_bits(), "diagonal is +0.0");
+            for j in (0..n).filter(|&j| j != i) {
+                assert_eq!(m.at(i, j), (10 * i + j) as f64);
+            }
+        }
+        assert!(Metric::is_empty(&DistanceMatrix::from_fn(0, |_, _| unreachable!())));
     }
 
     #[test]

@@ -751,6 +751,10 @@ impl Snapshot {
             trace_events,
         };
         snap.check_lengths()?;
+        let n = snap.sensors.len();
+        if snap.channel.as_ref().is_some_and(|c| c.inflight.iter().any(|m| m.sensor as usize >= n)) {
+            return Err(SnapshotError::Corrupt("inflight sensor"));
+        }
         Ok(snap)
     }
 
@@ -1362,6 +1366,16 @@ mod tests {
         assert_eq!(
             Snapshot::from_json(&v).err(),
             Some(SnapshotError::Corrupt("energy residuals"))
+        );
+    }
+
+    #[test]
+    fn inflight_sensor_outside_the_network_is_refused() {
+        let mut snap = sample();
+        snap.channel.as_mut().expect("channel").inflight[0].sensor = 2; // of 2 sensors
+        assert_eq!(
+            Snapshot::from_json(&snap.to_json()).err(),
+            Some(SnapshotError::Corrupt("inflight sensor"))
         );
     }
 

@@ -71,6 +71,20 @@ fn compare_lists_all_five_planners() {
 }
 
 #[test]
+fn plan_compare_runs_all_six_planners_on_one_context() {
+    let out = wrsn()
+        .args(["plan", "--n", "600", "--seed", "3", "--compare"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("shared context built"), "{text}");
+    for kind in wrsn_bench::PlannerKind::extended() {
+        assert!(text.contains(kind.name()), "missing {}:\n{text}", kind.name());
+    }
+}
+
+#[test]
 fn simulate_reports_rounds() {
     let out = wrsn()
         .args(["simulate", "--n", "100", "--days", "40", "--json"])

@@ -33,7 +33,8 @@ impl Planner for KMinMax {
         if problem.is_empty() {
             return Ok(Schedule::idle(k));
         }
-        let dist = problem.context().try_travel_time_matrix()?;
+        let all: Vec<usize> = (0..problem.len()).collect();
+        let dist = problem.context().travel_time_matrix_for(&all)?;
         let depot = problem.depot_travel_vector();
         let service: Vec<f64> =
             (0..problem.len()).map(|i| problem.charge_duration(i)).collect();
@@ -78,6 +79,35 @@ mod tests {
         let p = ChargingProblem::new(Point::ORIGIN, Vec::new(), 2, ChargingParams::default())
             .unwrap();
         assert_eq!(KMinMax::default().plan(&p).unwrap(), Schedule::idle(2));
+    }
+
+    #[test]
+    fn refuses_a_table_beyond_the_dense_limit() {
+        use wrsn_core::{ChargingParams, ContextError, ContextMode, ProblemContext};
+        use wrsn_net::{InitialCharge, NetworkBuilder};
+
+        let net = NetworkBuilder::new(80)
+            .seed(5)
+            .initial_charge(InitialCharge::UniformFraction { lo: 0.02, hi: 0.18 })
+            .build();
+        let params = ChargingParams::default();
+        let points = net.sensors().iter().map(|s| s.pos).collect();
+        let ctx = ProblemContext::with_mode_and_limit(
+            net.depot(),
+            points,
+            params,
+            ContextMode::Sparse,
+            8,
+        )
+        .unwrap();
+        let requests = net.default_requesting_sensors();
+        assert!(requests.len() > 8, "{} requests", requests.len());
+        let p = ChargingProblem::from_network_in_context(&ctx, &net, &requests, 2, params)
+            .unwrap();
+        assert_eq!(
+            KMinMax::default().plan(&p).unwrap_err(),
+            PlanError::Context(ContextError::TooLarge { len: requests.len(), limit: 8 })
+        );
     }
 
     #[test]

@@ -90,7 +90,7 @@ fn main() {
 /// min–max splitter, on the conflict-free cores of the same instances.
 fn tsp_construction_comparison(exp: &SnapshotExperiment) {
     use wrsn_algo::christofides::christofides_tour;
-    use wrsn_algo::ktour::{min_max_ktours, min_max_ktours_along};
+    use wrsn_algo::ktour::{min_max_ktours_along, min_max_ktours_with_matrix};
 
     let (mut greedy_sum, mut chris_sum) = (0.0, 0.0);
     for i in 0..exp.instances {
@@ -99,15 +99,16 @@ fn tsp_construction_comparison(exp: &SnapshotExperiment) {
         if n == 0 {
             continue;
         }
-        let dist = problem.travel_matrix();
+        let all: Vec<usize> = (0..n).collect();
+        let dist = problem.context().travel_time_matrix_for(&all).expect("snapshot fits");
         let depot = problem.depot_travel_vector();
         let service: Vec<f64> = (0..n).map(|v| problem.charge_duration(v)).collect();
 
-        greedy_sum += min_max_ktours(&dist, &depot, &service, exp.k, 30).max_delay;
+        greedy_sum += min_max_ktours_with_matrix(&dist, &depot, &service, exp.k, 30).max_delay;
 
         let mut ext = vec![vec![0.0; n + 1]; n + 1];
         for v in 0..n {
-            ext[v][..n].copy_from_slice(&dist[v]);
+            ext[v][..n].copy_from_slice(dist.row(v));
             ext[v][n] = depot[v];
             ext[n][v] = depot[v];
         }

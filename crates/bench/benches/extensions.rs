@@ -17,10 +17,8 @@
 //!    planner's schedules truncate and re-plan when MCVs break down
 //!    mid-tour and recovery rounds run on the surviving fleet.
 //! 6. **Shared-context fan-out** — all planners evaluated concurrently
-//!    per seed against one memoized `ProblemContext`, vs a cold run
-//!    that rebuilds every instance per cell (the pre-context cost
-//!    model). Context build time and per-planner plan time are
-//!    reported separately and archived as
+//!    per seed against one shared `ProblemContext`. Context build time
+//!    and per-planner plan time are reported separately and archived as
 //!    `target/wrsn-results/context_fanout.json`.
 //! 7. **Channel degradation** — longest round delay and shed rate vs
 //!    request-loss probability per planner, on a saturated K=1 fleet
@@ -201,11 +199,7 @@ fn main() {
         ..Default::default()
     };
     let shared = fanout.run_shared();
-    let cold = fanout.run_cold();
-    println!(
-        "{:>10} {:>14} {:>14} {:>16}",
-        "planner", "warm plan", "cold plan", "longest (h)"
-    );
+    println!("{:>10} {:>14} {:>16}", "planner", "plan", "longest (h)");
     let mut planner_rows = Vec::new();
     for kind in &fanout.kinds {
         let mean = |cells: &[wrsn_bench::FanoutCell], f: &dyn Fn(&wrsn_bench::FanoutCell) -> f64| {
@@ -213,34 +207,24 @@ fn main() {
                 cells.iter().filter(|c| c.planner == kind.name()).map(f).collect();
             xs.iter().sum::<f64>() / xs.len() as f64
         };
-        let warm_plan = mean(&shared.cells, &|c| c.plan_s);
-        let cold_plan = mean(&cold.cells, &|c| c.plan_s);
+        let plan = mean(&shared.cells, &|c| c.plan_s);
         let longest_h = mean(&shared.cells, &|c| c.longest_delay_s) / 3600.0;
-        println!(
-            "{:>10} {:>14.1} {:>14.1} {:>16.2}",
-            kind.name(),
-            warm_plan * 1e3,
-            cold_plan * 1e3,
-            longest_h
-        );
+        println!("{:>10} {:>14.1} {:>16.2}", kind.name(), plan * 1e3, longest_h);
         planner_rows.push(serde_json::json!({
             "name": kind.name(),
-            "plan_s": warm_plan,
-            "cold_plan_s": cold_plan,
+            "plan_s": plan,
             "longest_h": longest_h,
         }));
     }
     println!(
-        "\ncontext build {:.1} ms; totals: warm {:.1} ms vs cold {:.1} ms",
+        "\ncontext build {:.1} ms; plan total {:.1} ms",
         shared.context_build_s * 1e3,
-        shared.total_plan_s() * 1e3,
-        cold.total_plan_s() * 1e3
+        shared.total_plan_s() * 1e3
     );
     let doc = serde_json::json!({
         "context_build_s": shared.context_build_s,
         "planners": planner_rows,
         "warm_total_s": shared.total_plan_s(),
-        "cold_total_s": cold.total_plan_s(),
     });
     let dir = std::path::PathBuf::from(
         std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()),

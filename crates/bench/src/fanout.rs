@@ -2,13 +2,11 @@
 //!
 //! Evaluates a planner × seed grid concurrently with scoped threads.
 //! All planners of one seed plan against the **same**
-//! [`ChargingProblem`] — and therefore the same memoized
-//! [`ProblemContext`] — so the distance tables, coverage lists and the
-//! charging graph are built once per seed and read lock-free by every
-//! worker (the context is immutable once built). The fan-out reports
-//! context build time separately from per-planner plan time, and a
-//! *cold* mode rebuilds a fresh problem per cell so the two runs bound
-//! what the shared context saves.
+//! [`ChargingProblem`] — and therefore the same [`ProblemContext`] — so
+//! the depot distances, coverage lists and the charging graph are built
+//! once per seed and read lock-free by every worker (the context is
+//! immutable once built). The fan-out reports problem and context build
+//! time separately from per-planner plan time.
 //!
 //! Timing lives here (and in the CLI) only: nothing on the simulation
 //! or planning path ever reads the clock.
@@ -40,7 +38,7 @@ pub struct FanoutCell {
 #[derive(Clone, Debug)]
 pub struct FanoutReport {
     /// Wall-clock spent building problems and warming their shared
-    /// contexts (zero for cold runs, where that cost lands in `plan_s`).
+    /// contexts.
     pub context_build_s: f64,
     /// Wall-clock of the parallel planning phase.
     pub plan_wall_s: f64,
@@ -100,13 +98,9 @@ impl PlannerFanout {
             .expect("snapshot problems are always valid")
     }
 
-    /// Forces every memoized table so subsequent `plan()` calls measure
-    /// planning only. A sparse context has no dense table to warm — the
-    /// whole point of the mode — so that one is skipped.
+    /// Forces the memoized geometry every planner reads, so subsequent
+    /// `plan()` calls measure planning only.
     fn warm(ctx: &ProblemContext) {
-        if !ctx.is_sparse() {
-            let _ = ctx.distance_matrix();
-        }
         let _ = ctx.depot_distances();
         let _ = ctx.neighbor_lists();
         let _ = ctx.charging_graph();
@@ -130,7 +124,7 @@ impl PlannerFanout {
         let context_build_s = build_start.elapsed().as_secs_f64();
 
         let plan_start = Instant::now();
-        let cells = self.fan_out(|_seed_idx| None, &problems);
+        let cells = self.fan_out(&problems);
         FanoutReport {
             context_build_s,
             plan_wall_s: plan_start.elapsed().as_secs_f64(),
@@ -138,27 +132,9 @@ impl PlannerFanout {
         }
     }
 
-    /// Runs the grid **cold**: every cell rebuilds its own problem from
-    /// scratch, so each plan time includes the full geometry
-    /// recomputation — the pre-context cost model, recorded in the same
-    /// run for comparison.
-    pub fn run_cold(&self) -> FanoutReport {
-        let plan_start = Instant::now();
-        let cells = self.fan_out(|seed_idx| Some(self.seeds[seed_idx]), &[]);
-        FanoutReport {
-            context_build_s: 0.0,
-            plan_wall_s: plan_start.elapsed().as_secs_f64(),
-            cells,
-        }
-    }
-
-    /// Work-stealing fan-out over the planner × seed grid. For each
-    /// cell, `rebuild(seed_idx)` returning a seed means "build a fresh
-    /// problem for this cell"; `None` means "use `problems[seed_idx]`".
-    fn fan_out<R>(&self, rebuild: R, problems: &[ChargingProblem]) -> Vec<FanoutCell>
-    where
-        R: Fn(usize) -> Option<u64> + Sync,
-    {
+    /// Work-stealing fan-out over the planner × seed grid; every cell
+    /// plans on its seed's shared `problems[seed_idx]`.
+    fn fan_out(&self, problems: &[ChargingProblem]) -> Vec<FanoutCell> {
         let cells = self.kinds.len() * self.seeds.len();
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -175,12 +151,10 @@ impl PlannerFanout {
                     }
                     let kind = self.kinds[i / self.seeds.len()];
                     let seed_idx = i % self.seeds.len();
-                    let fresh = rebuild(seed_idx).map(|s| self.problem(s));
-                    let problem = fresh.as_ref().unwrap_or_else(|| &problems[seed_idx]);
                     let planner = kind.build(self.config);
                     let t0 = Instant::now();
                     let schedule =
-                        planner.plan(problem).expect("planners are complete");
+                        planner.plan(&problems[seed_idx]).expect("planners are complete");
                     let plan_s = t0.elapsed().as_secs_f64();
                     out.lock().expect("result lock")[i] = Some(FanoutCell {
                         planner: kind.name(),
@@ -230,21 +204,21 @@ mod tests {
 
     #[test]
     fn cold_and_shared_agree_on_schedules() {
-        // Planning against a shared warmed context must produce exactly
-        // the delays of planning against freshly built instances.
+        // Planning concurrently against a shared warmed context must
+        // produce exactly the delays of planning sequentially against a
+        // freshly built instance.
         let f = small();
         let shared = f.run_shared();
-        let cold = f.run_cold();
-        assert_eq!(shared.cells.len(), cold.cells.len());
-        for (a, b) in shared.cells.iter().zip(&cold.cells) {
-            assert_eq!(a.planner, b.planner);
-            assert_eq!(a.seed, b.seed);
+        assert_eq!(shared.cells.len(), f.kinds.len() * f.seeds.len());
+        for cell in &shared.cells {
+            let kind = f.kinds.iter().find(|k| k.name() == cell.planner).unwrap();
+            let cold = kind.build(f.config).plan(&f.problem(cell.seed)).unwrap();
             assert_eq!(
-                a.longest_delay_s.to_bits(),
-                b.longest_delay_s.to_bits(),
+                cell.longest_delay_s.to_bits(),
+                cold.longest_delay_s().to_bits(),
                 "{} seed {} drifted between shared and cold",
-                a.planner,
-                a.seed
+                cell.planner,
+                cell.seed
             );
         }
     }

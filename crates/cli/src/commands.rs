@@ -220,21 +220,18 @@ fn schedule_json(problem: &ChargingProblem, schedule: &Schedule) -> serde_json::
 }
 
 /// `wrsn plan --compare`: every planner (paper five + extensions)
-/// evaluated **concurrently** on one shared problem, whose memoized
-/// [`wrsn_core::ProblemContext`] is built once up front; reports the
-/// shared context build time and each planner's pure plan time.
+/// evaluated **concurrently** on one shared problem, whose
+/// [`wrsn_core::ProblemContext`] is warmed once up front, each planner
+/// sharded as `--shards` asks; reports the shared context build time and
+/// each planner's pure plan time.
 fn plan_compare(inst: &Instance) -> CliResult {
     use std::time::Instant;
     let problem = inst.snapshot()?;
 
-    // Warm the shared geometry once; the fan-out then only plans. A
-    // sparse context deliberately has no O(n²) table to warm — skip it
-    // rather than force the materialization the mode exists to avoid.
+    // Warm the shared geometry every planner reads once; the fan-out
+    // then only plans.
     let t0 = Instant::now();
     let ctx = problem.context();
-    if !ctx.is_sparse() {
-        let _ = ctx.distance_matrix();
-    }
     let _ = ctx.depot_distances();
     let _ = ctx.neighbor_lists();
     let _ = ctx.charging_graph();
@@ -247,7 +244,7 @@ fn plan_compare(inst: &Instance) -> CliResult {
             .map(|&kind| {
                 let problem = &problem;
                 scope.spawn(move || {
-                    let planner = kind.build(PlannerConfig::default());
+                    let planner = inst.planner(kind);
                     let t = Instant::now();
                     let schedule =
                         planner.plan(problem).map_err(|e| format!("{}: {e}", kind.name()))?;

@@ -42,15 +42,16 @@ COMMON OPTIONS:
     --period <days>     Request accumulation period before planning (default 5)
     --field <meters>    Square field side length (default 100; scale with sqrt(n)
                         to hold sensor density constant on large instances)
-    --context <mode>    Geometry backend: dense | sparse | auto (default auto —
-                        memoized O(n^2) tables below 4096 sensors, on-demand
-                        sparse queries above)
+    --context <mode>    Geometry mode: dense | sparse | auto (default auto —
+                        dense up to 4096 sensors, sparse above; dense refuses
+                        larger instances)
     --shards <int>      Spatial shards planned concurrently and stitched at the
                         depot with boundary reconciliation (default 1)
     --algorithm <name>  appro | kedf | netwrap | aa | kminmax | mmmatch (default appro)
     --json              Emit machine-readable JSON instead of a table
     --compare           (plan) Evaluate every planner concurrently on one shared
-                        problem context; reports per-planner plan time
+                        problem context, sharded as --shards asks; reports
+                        per-planner plan time
     --map               (plan) Also print an ASCII field map + timeline
     --stats             (plan) Also print completion percentiles + per-MCV breakdown
     --svg <path>        (plan) Write the field and timeline as SVG files

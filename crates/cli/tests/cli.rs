@@ -85,6 +85,32 @@ fn plan_compare_runs_all_six_planners_on_one_context() {
 }
 
 #[test]
+fn plan_compare_honours_shards() {
+    let instance = ["plan", "--n", "1200", "--k", "4", "--seed", "3", "--shards", "2"];
+    let out = wrsn().args(instance).arg("--compare").output().expect("binary runs");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    for kind in wrsn_bench::PlannerKind::extended() {
+        let row: Vec<&str> = text
+            .lines()
+            .map(|l| l.split_whitespace().collect::<Vec<_>>())
+            .find(|cols| cols.first() == Some(&kind.name()))
+            .unwrap_or_else(|| panic!("missing {}:\n{text}", kind.name()));
+        let out = wrsn()
+            .args(instance)
+            .args(["--algorithm", kind.name(), "--json"])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+        let hours = |key: &str| format!("{:.2}", v[key].as_f64().unwrap() / 3600.0);
+        assert_eq!(row[1], hours("longest_delay_s"), "{} longest:\n{text}", kind.name());
+        assert_eq!(row[2], v["sojourns"].to_string(), "{} sojourns:\n{text}", kind.name());
+        assert_eq!(row[3], hours("total_wait_time_s"), "{} wait:\n{text}", kind.name());
+    }
+}
+
+#[test]
 fn simulate_reports_rounds() {
     let out = wrsn()
         .args(["simulate", "--n", "100", "--days", "40", "--json"])

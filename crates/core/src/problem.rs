@@ -104,7 +104,7 @@ impl fmt::Display for ProblemError {
 impl Error for ProblemError {}
 
 /// Maps a subcontext failure to the problem-layer vocabulary: an
-/// out-of-range gather index means an unknown sensor, anything else
+/// out-of-range subcontext index means an unknown sensor, anything else
 /// passes through.
 fn subcontext_error(e: ContextError) -> ProblemError {
     match e {
@@ -146,7 +146,7 @@ pub struct ChargingProblem {
     params: ChargingParams,
     k: usize,
     targets: Vec<ChargingTarget>,
-    /// Shared memoized geometry: depot, pairwise/depot distances, the
+    /// Shared geometry: depot, points, memoized depot distances, the
     /// coverage sets `N_c⁺(v)` and the charging graph `G_c`.
     ctx: Arc<ProblemContext>,
     /// `tau[i]` = max charge duration over `coverage(i)` (Eq. 2).
@@ -299,9 +299,9 @@ impl ChargingProblem {
     }
 
     /// The sub-instance over `targets[indices]` with `k` chargers: the
-    /// geometry derives through [`ProblemContext::subcontext`] (gathered
-    /// from a dense parent, computed from the gathered points under a
-    /// sparse one — bit-identical either way), targets are cloned, and
+    /// geometry derives through [`ProblemContext::subcontext`] (computed
+    /// from this instance's points at `indices`, so bit-identical to
+    /// them), targets are cloned, and
     /// coverage/τ are recomputed **within the sub-instance** (a target
     /// near the cut loses cross-boundary neighbors, exactly as if the
     /// sub-instance had been posed directly). This is the shard
@@ -327,9 +327,9 @@ impl ChargingProblem {
     /// [`ChargingProblem::from_network_with`] reusing an existing
     /// network-wide [`ProblemContext`] (from
     /// [`ProblemContext::for_network`] with the **same** network and
-    /// parameters): the instance's distance tables are gathered from the
-    /// shared context instead of recomputed, so repeated rounds over the
-    /// same network pay for the full pairwise table once.
+    /// parameters): the instance's context is that context's
+    /// [`subcontext`](ProblemContext::subcontext) over the requested
+    /// sensors, so its geometry is the network's bit for bit.
     ///
     /// # Errors
     ///
@@ -507,12 +507,6 @@ impl ChargingProblem {
         self.ctx.depot_travel_time(i)
     }
 
-    /// Dense travel-time matrix between all targets, seconds.
-    pub fn travel_matrix(&self) -> Vec<Vec<f64>> {
-        let m = self.ctx.travel_time_matrix();
-        (0..self.len()).map(|i| m.row(i).to_vec()).collect()
-    }
-
     /// Depot travel-time vector, seconds.
     pub fn depot_travel_vector(&self) -> Vec<f64> {
         self.ctx.depot_travel_vector()
@@ -558,8 +552,6 @@ mod tests {
         let p = ChargingProblem::new(Point::ORIGIN, targets, 1, prm).unwrap();
         assert_eq!(p.depot_travel_time(0), 2.5);
         assert_eq!(p.travel_time(0, 1), 2.0);
-        let m = p.travel_matrix();
-        assert_eq!(m[0][1], 2.0);
         assert_eq!(p.depot_travel_vector(), vec![2.5, 1.5]);
     }
 

@@ -5,7 +5,7 @@ use wrsn_core::{
     conflict, Appro, ChargingParams, ChargingProblem, ChargingTarget, ContextMode, Planner,
     PlannerConfig, ProblemContext, Schedule, ShardedPlanner,
 };
-use wrsn_geom::Point;
+use wrsn_geom::{dist_matrix, Metric, Point};
 use wrsn_net::SensorId;
 
 fn problem_strategy(max: usize) -> impl Strategy<Value = ChargingProblem> {
@@ -172,17 +172,19 @@ proptest! {
         }
     }
 
-    /// The sparse backend is an exact drop-in for the dense one: every
+    /// The sparse mode is an exact drop-in for the dense one: every
     /// pairwise distance and depot distance is bit-identical (0 ULP, not
-    /// approximately equal), and every coverage set N_c(v) contains the
-    /// same sensors.
+    /// approximately equal), every coverage set N_c(v) contains the same
+    /// sensors, and in both modes a sub-instance table equals the nested
+    /// reference `dist_matrix` divided by the speed.
     #[test]
     fn sparse_backend_matches_dense_bit_for_bit(
         pts in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..80),
     ) {
         let points: Vec<Point> = pts.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let params = ChargingParams::default();
+        let params = ChargingParams { speed_mps: 0.7, ..ChargingParams::default() };
         let depot = Point::new(50.0, 50.0);
+        let reference = dist_matrix(&points);
         let dense = ProblemContext::with_mode(depot, points.clone(), params, ContextMode::Dense)
             .unwrap();
         let sparse = ProblemContext::with_mode(depot, points, params, ContextMode::Sparse)
@@ -195,21 +197,29 @@ proptest! {
                 sparse.depot_distances()[a].to_bits(),
                 "depot distance of {} drifted", a
             );
-            let dense_row = dense.distance_row(a);
-            let sparse_row = sparse.distance_row(a);
             for b in 0..dense.len() {
                 prop_assert_eq!(
                     dense.distance(a, b).to_bits(),
                     sparse.distance(a, b).to_bits(),
                     "distance ({}, {}) drifted", a, b
                 );
-                prop_assert_eq!(dense_row[b].to_bits(), sparse_row[b].to_bits());
             }
-            let mut dense_cov: Vec<u32> = dense.coverage_set(a).to_vec();
-            let mut sparse_cov: Vec<u32> = sparse.coverage_set(a).to_vec();
-            dense_cov.sort_unstable();
-            sparse_cov.sort_unstable();
-            prop_assert_eq!(dense_cov, sparse_cov, "coverage of {} differs", a);
+            prop_assert_eq!(dense.neighbors(a), sparse.neighbors(a), "coverage of {} differs", a);
+        }
+        // Every point, in descending order, then a repeat.
+        let mut nodes: Vec<usize> = (0..dense.len()).rev().collect();
+        nodes.push(dense.len() / 2);
+        for ctx in [&dense, &sparse] {
+            let table = ctx.travel_time_matrix_for(&nodes).unwrap();
+            for (a, &i) in nodes.iter().enumerate() {
+                for (b, &j) in nodes.iter().enumerate() {
+                    prop_assert_eq!(
+                        table.at(a, b).to_bits(),
+                        (reference[i][j] / params.speed_mps).to_bits(),
+                        "{} table entry ({}, {}) drifted", ctx.mode(), a, b
+                    );
+                }
+            }
         }
     }
 

@@ -32,6 +32,6 @@ mod point;
 mod rect;
 
 pub use grid::GridIndex;
-pub use matrix::{DistanceMatrix, MatrixTooLarge, Metric, VirtualNodeMetric, DENSE_HARD_LIMIT};
+pub use matrix::{DistanceMatrix, Metric, VirtualNodeMetric, DENSE_HARD_LIMIT};
 pub use point::{dist_matrix, Point};
 pub use rect::Rect;

@@ -16,41 +16,15 @@
 //! each ordered pair, with a `+0.0` diagonal. `Point::dist` is
 //! bit-symmetric (negating both coordinate deltas leaves their squares
 //! unchanged), so the table equals [`crate::dist_matrix`]'s mirrored one
-//! bit for bit. Gathered sub-matrices copy entries verbatim.
-
-use std::error::Error;
-use std::fmt;
+//! bit for bit.
 
 use crate::Point;
 
 /// Hard ceiling on dense materialization: [`DistanceMatrix::from_points`]
 /// refuses point sets larger than this (the flat table would exceed
-/// 32 GiB). Callers that might legitimately exceed it must use
-/// [`DistanceMatrix::try_from_points`] with their own threshold, or stay
-/// on an on-demand (sparse) distance source.
+/// 32 GiB). Callers that might legitimately exceed it must stay on an
+/// on-demand distance source.
 pub const DENSE_HARD_LIMIT: usize = 65_536;
-
-/// A dense pairwise table was requested over more points than the
-/// caller's threshold allows (the allocation would be `len²` floats).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MatrixTooLarge {
-    /// Number of points the table was requested over.
-    pub len: usize,
-    /// The threshold that was exceeded.
-    pub limit: usize,
-}
-
-impl fmt::Display for MatrixTooLarge {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "dense distance matrix over {} points exceeds the {}-point limit",
-            self.len, self.limit
-        )
-    }
-}
-
-impl Error for MatrixTooLarge {}
 
 /// Index-based symmetric distance lookup.
 ///
@@ -119,30 +93,14 @@ impl DistanceMatrix {
     /// # Panics
     ///
     /// Panics if `pts.len()` exceeds [`DENSE_HARD_LIMIT`] — a clear
-    /// failure instead of a doomed multi-GiB allocation. Use
-    /// [`try_from_points`](Self::try_from_points) for a typed error, or
-    /// keep huge instances on an on-demand distance source.
+    /// failure, before any allocation, instead of a doomed multi-GiB one.
+    /// Keep huge instances on an on-demand distance source.
     pub fn from_points(pts: &[Point]) -> DistanceMatrix {
-        Self::try_from_points(pts, DENSE_HARD_LIMIT)
-            .expect("point set too large for a dense matrix; use a sparse distance source")
-    }
-
-    /// [`from_points`](Self::from_points) guarded by a caller-chosen
-    /// threshold: refuses to allocate the `n²` table when `pts.len() >
-    /// limit`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixTooLarge`] when the point count exceeds `limit`.
-    pub fn try_from_points(
-        pts: &[Point],
-        limit: usize,
-    ) -> Result<DistanceMatrix, MatrixTooLarge> {
-        let n = pts.len();
-        if n > limit {
-            return Err(MatrixTooLarge { len: n, limit });
-        }
-        Ok(Self::from_fn(n, |i, j| pts[i].dist(pts[j])))
+        assert!(
+            pts.len() <= DENSE_HARD_LIMIT,
+            "point set too large for a dense matrix; use a sparse distance source"
+        );
+        Self::from_fn(pts.len(), |i, j| pts[i].dist(pts[j]))
     }
 
     /// Builds an `n × n` matrix from an entry function, row by row:
@@ -175,24 +133,6 @@ impl DistanceMatrix {
         DistanceMatrix { n, data }
     }
 
-    /// The sub-matrix over `indices`, copying entries verbatim (so
-    /// gathered distances are bit-identical to the parent's).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index is out of range.
-    pub fn gather(&self, indices: &[usize]) -> DistanceMatrix {
-        let m = indices.len();
-        let mut data = vec![0.0; m * m];
-        for (a, &i) in indices.iter().enumerate() {
-            assert!(i < self.n, "gather index out of range");
-            for (b, &j) in indices.iter().enumerate() {
-                data[a * m + b] = self.data[i * self.n + j];
-            }
-        }
-        DistanceMatrix { n: m, data }
-    }
-
     /// Extends the matrix with one virtual node whose distance to
     /// existing node `i` is `extra[i]` (and `0` to itself). The virtual
     /// node gets the **last** index `len()`.
@@ -206,17 +146,6 @@ impl DistanceMatrix {
     /// Panics if `extra.len() != self.len()`.
     pub fn with_virtual_node(&self, extra: &[f64]) -> DistanceMatrix {
         DistanceMatrix::from_metric(&VirtualNodeMetric::new(self, extra))
-    }
-
-    /// Returns a copy with every entry divided by `scale` (e.g. metres →
-    /// seconds at a given speed). Division order matches computing
-    /// `dist / scale` inline on each access.
-    pub fn scaled_down(&self, scale: f64) -> DistanceMatrix {
-        let mut data = self.data.clone();
-        for x in &mut data {
-            *x /= scale;
-        }
-        DistanceMatrix { n: self.n, data }
     }
 
     /// Row `i` as a slice (distances from `i` to every node).
@@ -371,24 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_copies_entries_verbatim() {
-        let pts = random_points(7, 20);
-        let m = DistanceMatrix::from_points(&pts);
-        let idx = [3usize, 17, 0, 8];
-        let sub = m.gather(&idx);
-        assert_eq!(Metric::len(&sub), 4);
-        for (a, &i) in idx.iter().enumerate() {
-            for (b, &j) in idx.iter().enumerate() {
-                assert_eq!(sub.at(a, b).to_bits(), m.at(i, j).to_bits());
-            }
-        }
-        // And therefore bit-identical to building from the sub-points.
-        let sub_pts: Vec<Point> = idx.iter().map(|&i| pts[i]).collect();
-        let direct = DistanceMatrix::from_points(&sub_pts);
-        assert_eq!(sub, direct);
-    }
-
-    #[test]
     fn virtual_node_is_last_index() {
         let pts = random_points(11, 6);
         let m = DistanceMatrix::from_points(&pts);
@@ -403,18 +314,6 @@ mod tests {
             }
         }
         assert_eq!(ext.at(6, 6), 0.0);
-    }
-
-    #[test]
-    fn scaled_down_matches_inline_division() {
-        let pts = random_points(13, 12);
-        let m = DistanceMatrix::from_points(&pts);
-        let s = m.scaled_down(5.0);
-        for i in 0..12 {
-            for j in 0..12 {
-                assert_eq!(s.at(i, j).to_bits(), (m.at(i, j) / 5.0).to_bits());
-            }
-        }
     }
 
     #[test]
@@ -443,20 +342,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "gather index out of range")]
-    fn gather_rejects_bad_index() {
-        let m = DistanceMatrix::from_points(&[Point::ORIGIN]);
-        let _ = m.gather(&[1]);
-    }
-
-    #[test]
-    fn try_from_points_enforces_limit() {
-        let pts = random_points(21, 10);
-        let err = DistanceMatrix::try_from_points(&pts, 9).unwrap_err();
-        assert_eq!(err, MatrixTooLarge { len: 10, limit: 9 });
-        assert!(err.to_string().contains("10 points"));
-        let ok = DistanceMatrix::try_from_points(&pts, 10).unwrap();
-        assert_eq!(ok, DistanceMatrix::from_points(&pts));
+    #[should_panic(expected = "point set too large for a dense matrix")]
+    fn from_points_refuses_beyond_hard_limit() {
+        // The assert fires before the (DENSE_HARD_LIMIT + 1)² table is
+        // allocated; only the 1 MiB point list exists.
+        let _ = DistanceMatrix::from_points(&vec![Point::ORIGIN; DENSE_HARD_LIMIT + 1]);
     }
 
     #[test]

@@ -173,15 +173,14 @@ pub struct SimConfig {
     /// the layer is deterministic and draws no random values even when
     /// active.
     pub energy: ChargerEnergyModel,
-    /// Geometry backend for the run-wide
+    /// Geometry mode for the run-wide
     /// [`ProblemContext`](wrsn_core::ProblemContext):
-    /// [`ContextMode::Auto`] (the default) memoizes dense distance
-    /// tables on small networks and switches to on-demand sparse
-    /// queries past [`wrsn_core::DEFAULT_DENSE_LIMIT`] sensors, where
-    /// the O(n²) table would not fit. Forcing [`ContextMode::Dense`] on
-    /// an oversized network fails the run with a typed
-    /// [`PlanError::Context`] instead of attempting the allocation.
-    /// Small-network runs are bit-identical across all three modes.
+    /// [`ContextMode::Auto`] (the default) resolves to dense up to
+    /// [`wrsn_core::DEFAULT_DENSE_LIMIT`] sensors and to sparse above.
+    /// Both compute every distance from points. Forcing
+    /// [`ContextMode::Dense`] on an oversized network fails the run with
+    /// a typed [`PlanError::Context`]. Runs are bit-identical across all
+    /// three modes wherever the mode is accepted.
     pub context_mode: ContextMode,
 }
 

@@ -22,10 +22,9 @@ use std::sync::Arc;
 use wrsn_bench::{env_f64, env_usize};
 use wrsn_core::{GreedyTour, Planner};
 use wrsn_net::NetworkBuilder;
-use wrsn_serve::soak::run_adversarial_soak;
+use wrsn_serve::soak::run_soak;
 use wrsn_serve::{
-    AdversarialSoakConfig, AdversaryConfig, GuardConfig, PlannerFactory, ServeConfig,
-    ServeEngine, SoakConfig,
+    AdversaryConfig, GuardConfig, PlannerFactory, ServeConfig, ServeEngine, SoakConfig,
 };
 
 const FRACTIONS: [f64; 4] = [0.0, 0.1, 0.2, 0.4];
@@ -68,15 +67,12 @@ fn main() {
                 quarantine_s: 4.0,
                 parole_s: 2.0,
             };
-            let cfg = AdversarialSoakConfig {
-                soak: SoakConfig {
-                    rate_per_s: rate,
-                    duration_s,
-                    seed: 5,
-                    deficit_fraction: (0.0002, 0.001),
-                    drain: true,
-                    ..SoakConfig::default()
-                },
+            let cfg = SoakConfig {
+                rate_per_s: rate,
+                duration_s,
+                seed: 5,
+                deficit_fraction: (0.0002, 0.001),
+                drain: true,
                 adversary: AdversaryConfig {
                     seed: adv_seed,
                     hostile_fraction: fraction,
@@ -85,13 +81,14 @@ fn main() {
                     oversize_bytes: 8192,
                 },
                 max_line_bytes: 4096,
+                ..SoakConfig::default()
             };
             let serve_cfg =
                 ServeConfig { k: 2, tick_s: 0.05, guard, ..ServeConfig::default() };
             let net = NetworkBuilder::new(n).seed(31).build();
             let engine = ServeEngine::new(net, serve_cfg, Arc::clone(&factory))
                 .expect("valid serve config");
-            let out = run_adversarial_soak(engine, &cfg, None)
+            let out = run_soak(engine, &cfg, None)
                 .expect("the adversarial soak absorbs attacks instead of erroring");
 
             let r = &out.report;

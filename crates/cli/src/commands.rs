@@ -998,16 +998,13 @@ pub fn serve(args: &Args) -> CliResult {
             seed: args.get_or("soak-seed", 1u64)?,
             realtime: args.flag("realtime"),
             drain: args.flag("drain"),
+            adversary,
+            max_line_bytes,
             ..SoakConfig::default()
         };
-        if adversary.is_active() {
-            use wrsn_serve::soak::run_adversarial_soak;
-            let adv_cfg = wrsn_serve::AdversarialSoakConfig {
-                soak,
-                adversary,
-                max_line_bytes,
-            };
-            let outcome = run_adversarial_soak(engine, &adv_cfg, Some(&stop))?;
+        let outcome = run_soak(engine, &soak, Some(&stop))?;
+        let attacked = adversary.is_active();
+        if attacked {
             eprintln!(
                 "adversarial soak: offered {} arrivals ({} hostile lines) in {:.2} s wall",
                 outcome.offered, outcome.hostile_lines, outcome.wall_s
@@ -1032,29 +1029,22 @@ pub fn serve(args: &Args) -> CliResult {
                 outcome.malformed
             );
             println!("  honest_ledger_reconciles {}", outcome.honest_ledger_reconciles);
-            let json = outcome.to_json();
-            std::fs::create_dir_all(results_dir())?;
-            let archive = results_dir().join("serve_adversary_soak.json");
-            std::fs::write(&archive, serde_json::to_string_pretty(&json)?)?;
-            eprintln!("archived {}", archive.display());
-            if !outcome.honest_ledger_reconciles {
-                return Err("adversarial soak: honest ledger does not reconcile".into());
-            }
-            let malformed = outcome.malformed;
-            (outcome.report, malformed, 0u64, json)
         } else {
-            let outcome = run_soak(engine, &soak, Some(&stop))?;
             eprintln!(
                 "soak: offered {} requests in {:.2} s wall ({:.0} req/s sustained)",
                 outcome.offered, outcome.wall_s, outcome.achieved_rate_per_s
             );
-            let json = outcome.to_json();
-            std::fs::create_dir_all(results_dir())?;
-            let archive = results_dir().join("serve_soak.json");
-            std::fs::write(&archive, serde_json::to_string_pretty(&json)?)?;
-            eprintln!("archived {}", archive.display());
-            (outcome.report, 0u64, 0u64, json)
         }
+        let json = outcome.to_json();
+        std::fs::create_dir_all(results_dir())?;
+        let name = if attacked { "serve_adversary_soak.json" } else { "serve_soak.json" };
+        let archive = results_dir().join(name);
+        std::fs::write(&archive, serde_json::to_string_pretty(&json)?)?;
+        eprintln!("archived {}", archive.display());
+        if attacked && !outcome.honest_ledger_reconciles {
+            return Err("adversarial soak: honest ledger does not reconcile".into());
+        }
+        (outcome.report, outcome.malformed, 0u64, json)
     } else {
         let ingress = match args.get("socket") {
             Some(path) => Ingress::UnixSocket(std::path::PathBuf::from(path)),

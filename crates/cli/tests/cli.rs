@@ -524,6 +524,11 @@ fn serve_soak_reconciles_and_archives_percentiles() {
             .expect("archive is JSON");
     assert_eq!(archived["ledger_reconciles"], serde_json::Value::Bool(true));
     assert!(archived["dispatch_latency"]["p99_s"].as_f64().is_some());
+    // Every soak archive carries the honest tally: with no adversary,
+    // every arrival is honest.
+    assert_eq!(archived["offered"].as_u64(), Some(4000));
+    assert_eq!(archived["honest_submitted"], archived["offered"]);
+    assert_eq!(archived["honest_ledger_reconciles"], serde_json::Value::Bool(true));
     let _ = std::fs::remove_dir_all(&target);
 }
 

@@ -409,16 +409,17 @@ mod tests {
     fn core_is_conflict_free_without_repair() {
         // With repair disabled, the V'_H core portion of the schedule must
         // still be overlap-free by construction; the full schedule may or
-        // may not be. We check that certification fails only with
-        // OverlapConflict if it fails at all.
+        // may not be. We check that every violation, if any, is a
+        // simultaneous charge.
         let mut cfg = PlannerConfig::default();
         cfg.enforce_no_overlap = false;
         let p = net_problem(150, 2, 7);
         let r = Appro::new(cfg).plan_detailed(&p).unwrap();
-        match r.schedule.certify(&p) {
-            Ok(()) => {}
-            Err(crate::ScheduleError::OverlapConflict { .. }) => {}
-            Err(other) => panic!("unexpected failure: {other:?}"),
+        for v in crate::validate_schedule(&p, &r.schedule).err().unwrap_or_default() {
+            assert!(
+                matches!(v, crate::ScheduleViolation::SimultaneousCharge { .. }),
+                "unexpected failure: {v:?}"
+            );
         }
         assert_eq!(r.repair_wait_s, 0.0);
     }

@@ -15,10 +15,12 @@
 //!   [`ProblemContext::subcontext`]).
 //! - [`Schedule`] / [`ChargerTour`] / [`Sojourn`]: the output — one
 //!   closed tour per MCV with per-sojourn arrival, charging start and
-//!   duration. [`Schedule::certify`] replays the schedule and proves (or
-//!   refutes) that every requested sensor is fully charged and **no
-//!   sensor is ever inside two active charging disks at once** — the
-//!   paper's critical constraint.
+//!   duration.
+//! - [`validate_schedule`]: the one checker of Definition 1. It lists
+//!   every violation: a requested sensor left uncovered or undercharged,
+//!   inconsistent tour times, and above all **a sensor inside two
+//!   active charging disks at once** — the paper's critical constraint.
+//!   [`Schedule::certify`] reports the first violation of that list.
 //! - [`conflict`]: the coverage-overlap predicate behind the auxiliary
 //!   graph `H`, and a wait-based repair pass that turns any schedule
 //!   into a certified-conflict-free one by idling MCVs.
@@ -74,6 +76,6 @@ pub use energy::{
 pub use fallback::{plan_with_fallback, GreedyTour};
 pub use planner::{InsertionOrder, PlanError, Planner, PlannerConfig};
 pub use problem::{ChargingParams, ChargingProblem, ChargingTarget, ProblemError};
-pub use schedule::{ChargerTour, Schedule, ScheduleError, Sojourn};
+pub use schedule::{ChargerTour, Schedule, Sojourn};
 pub use shard::{ShardAudit, ShardInfo, ShardedPlanner};
 pub use validate::{validate_schedule, ScheduleViolation};

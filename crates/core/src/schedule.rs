@@ -1,15 +1,14 @@
-//! Charging schedules: tours, sojourns, metrics, and certification.
+//! Charging schedules: tours, sojourns, metrics, and the charge replay.
+//!
+//! [`Schedule::certify`] is the first-violation view of
+//! [`validate_schedule`], the one checker of Definition 1.
 
-use std::error::Error;
-use std::fmt;
-
-use wrsn_net::SensorId;
-
-use crate::conflict;
+use crate::validate::{validate_schedule, ScheduleViolation};
 use crate::ChargingProblem;
 
-/// Numerical slack used by the certifier for time/energy comparisons.
-const TOL: f64 = 1e-6;
+/// Numerical slack for time and charge comparisons, shared by the replay
+/// and [`validate_schedule`].
+pub(crate) const TOL: f64 = 1e-6;
 
 /// One stop of an MCV: it arrives at a target's location, possibly waits
 /// (conflict-avoidance), then charges every sensor within `γ` for
@@ -77,74 +76,6 @@ pub struct Schedule {
     /// One tour per charger; `tours.len()` equals the problem's `K`.
     pub tours: Vec<ChargerTour>,
 }
-
-/// A certification failure: why a schedule is infeasible.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ScheduleError {
-    /// Number of tours differs from the problem's charger count.
-    TourCountMismatch {
-        /// Chargers in the problem.
-        expected: usize,
-        /// Tours in the schedule.
-        actual: usize,
-    },
-    /// A tour's times are inconsistent (arrival before the previous
-    /// finish plus travel, negative duration, start before arrival, or a
-    /// too-early depot return).
-    InconsistentTimes {
-        /// Charger index.
-        charger: usize,
-        /// Sojourn position within the tour (`usize::MAX` for the return leg).
-        position: usize,
-    },
-    /// Two chargers sojourn at the same target (tours must be node-disjoint).
-    DuplicateSojourn {
-        /// The doubly-used target index.
-        target: usize,
-    },
-    /// A requested sensor lies in no sojourn's coverage.
-    UncoveredSensor(SensorId),
-    /// Two chargers charge overlapping coverage areas at overlapping times:
-    /// the paper's prohibited simultaneous-charge situation.
-    OverlapConflict {
-        /// First charger.
-        charger_a: usize,
-        /// Second charger.
-        charger_b: usize,
-        /// First charger's sojourn target.
-        target_a: usize,
-        /// Second charger's sojourn target.
-        target_b: usize,
-        /// A sensor inside both charging disks.
-        witness: SensorId,
-    },
-    /// A sensor's accumulated charging time falls short of `t_v`.
-    Undercharged(SensorId),
-}
-
-impl fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScheduleError::TourCountMismatch { expected, actual } => {
-                write!(f, "expected {expected} tours, found {actual}")
-            }
-            ScheduleError::InconsistentTimes { charger, position } => {
-                write!(f, "inconsistent times in tour {charger} at position {position}")
-            }
-            ScheduleError::DuplicateSojourn { target } => {
-                write!(f, "target {target} is a sojourn of two tours")
-            }
-            ScheduleError::UncoveredSensor(id) => write!(f, "sensor {id} is never covered"),
-            ScheduleError::OverlapConflict { charger_a, charger_b, witness, .. } => write!(
-                f,
-                "chargers {charger_a} and {charger_b} would charge sensor {witness} simultaneously"
-            ),
-            ScheduleError::Undercharged(id) => write!(f, "sensor {id} is not fully charged"),
-        }
-    }
-}
-
-impl Error for ScheduleError {}
 
 impl Schedule {
     /// An empty schedule with `k` idle chargers.
@@ -214,7 +145,8 @@ impl Schedule {
     }
 
     /// All sojourns with their charger index, sorted by charging start
-    /// time (ties by charger).
+    /// time (ties by charger). The order is [`f64::total_cmp`], so a NaN
+    /// time sorts instead of panicking.
     pub fn sojourns_by_start(&self) -> Vec<(usize, Sojourn)> {
         let mut all: Vec<(usize, Sojourn)> = self
             .tours
@@ -222,9 +154,7 @@ impl Schedule {
             .enumerate()
             .flat_map(|(k, t)| t.sojourns.iter().map(move |&s| (k, s)))
             .collect();
-        all.sort_by(|a, b| {
-            a.1.start_s.partial_cmp(&b.1.start_s).unwrap().then(a.0.cmp(&b.0))
-        });
+        all.sort_by(|a, b| a.1.start_s.total_cmp(&b.1.start_s).then(a.0.cmp(&b.0)));
         all
     }
 
@@ -253,111 +183,16 @@ impl Schedule {
         done
     }
 
-    /// Verifies the schedule against every constraint of Definition 1:
-    ///
-    /// 1. one tour per charger, internally time-consistent;
-    /// 2. tours are node-disjoint (no shared sojourn locations);
-    /// 3. every requested sensor lies within `γ` of some sojourn;
-    /// 4. **no sensor is inside two active charging disks at
-    ///    overlapping times** (the multi-charger constraint);
-    /// 5. a physical replay fully charges every requested sensor.
+    /// Checks the schedule against Definition 1 and returns the first
+    /// violation [`validate_schedule`] lists: the order is tour count,
+    /// unknown targets, per-tour times, duplicate targets, coverage,
+    /// simultaneous charging, undercharge.
     ///
     /// # Errors
     ///
-    /// Returns the first violated constraint as a [`ScheduleError`].
-    pub fn certify(&self, problem: &ChargingProblem) -> Result<(), ScheduleError> {
-        if self.tours.len() != problem.charger_count() {
-            return Err(ScheduleError::TourCountMismatch {
-                expected: problem.charger_count(),
-                actual: self.tours.len(),
-            });
-        }
-
-        // 1. Time consistency per tour.
-        for (k, tour) in self.tours.iter().enumerate() {
-            let mut t = 0.0;
-            let mut prev: Option<usize> = None;
-            for (l, s) in tour.sojourns.iter().enumerate() {
-                let travel = match prev {
-                    None => problem.depot_travel_time(s.target),
-                    Some(p) => problem.travel_time(p, s.target),
-                };
-                if s.arrival_s < t + travel - TOL
-                    || s.start_s < s.arrival_s - TOL
-                    || s.duration_s < -TOL
-                {
-                    return Err(ScheduleError::InconsistentTimes { charger: k, position: l });
-                }
-                t = s.finish_s();
-                prev = Some(s.target);
-            }
-            if let Some(p) = prev {
-                if tour.return_time_s < t + problem.depot_travel_time(p) - TOL {
-                    return Err(ScheduleError::InconsistentTimes {
-                        charger: k,
-                        position: usize::MAX,
-                    });
-                }
-            }
-        }
-
-        // 2. Node-disjoint sojourn locations.
-        let mut used = vec![false; problem.len()];
-        for tour in &self.tours {
-            for s in &tour.sojourns {
-                if used[s.target] {
-                    return Err(ScheduleError::DuplicateSojourn { target: s.target });
-                }
-                used[s.target] = true;
-            }
-        }
-
-        // 3. Coverage.
-        let mut covered = vec![false; problem.len()];
-        for tour in &self.tours {
-            for s in &tour.sojourns {
-                for &u in problem.coverage(s.target) {
-                    covered[u as usize] = true;
-                }
-            }
-        }
-        if let Some(i) = covered.iter().position(|&c| !c) {
-            return Err(ScheduleError::UncoveredSensor(problem.targets()[i].id));
-        }
-
-        // 4. No simultaneous charging of a shared sensor by two chargers.
-        let all = self.sojourns_by_start();
-        for i in 0..all.len() {
-            let (ka, sa) = all[i];
-            for &(kb, sb) in all.iter().skip(i + 1) {
-                if sb.start_s >= sa.finish_s() - TOL {
-                    break; // sorted by start: nothing later overlaps sa
-                }
-                if ka == kb {
-                    continue;
-                }
-                let overlap = sa.finish_s().min(sb.finish_s()) - sb.start_s;
-                if overlap > TOL {
-                    if let Some(w) = conflict::coverage_overlap(problem, sa.target, sb.target)
-                    {
-                        return Err(ScheduleError::OverlapConflict {
-                            charger_a: ka,
-                            charger_b: kb,
-                            target_a: sa.target,
-                            target_b: sb.target,
-                            witness: problem.targets()[w].id,
-                        });
-                    }
-                }
-            }
-        }
-
-        // 5. Physical replay: everyone ends fully charged.
-        let completion = self.charge_completion_times(problem);
-        if let Some(i) = completion.iter().position(Option::is_none) {
-            return Err(ScheduleError::Undercharged(problem.targets()[i].id));
-        }
-        Ok(())
+    /// The first [`ScheduleViolation`] of the schedule.
+    pub fn certify(&self, problem: &ChargingProblem) -> Result<(), ScheduleViolation> {
+        validate_schedule(problem, self).map_err(|mut violations| violations.swap_remove(0))
     }
 }
 
@@ -366,6 +201,7 @@ mod tests {
     use super::*;
     use crate::{ChargingParams, ChargingTarget};
     use wrsn_geom::Point;
+    use wrsn_net::SensorId;
 
     fn problem(pts: &[(f64, f64, f64)], k: usize) -> ChargingProblem {
         let targets: Vec<ChargingTarget> = pts
@@ -411,7 +247,7 @@ mod tests {
         let s = Schedule::idle(1);
         assert_eq!(
             s.certify(&p),
-            Err(ScheduleError::TourCountMismatch { expected: 2, actual: 1 })
+            Err(ScheduleViolation::TourCountMismatch { expected: 2, actual: 1 })
         );
     }
 
@@ -419,14 +255,14 @@ mod tests {
     fn certify_rejects_uncovered_sensor() {
         let p = problem(&[(10.0, 0.0, 10.0), (50.0, 50.0, 10.0)], 1);
         let s = Schedule::assemble(&p, vec![vec![(0, 10.0)]]);
-        assert_eq!(s.certify(&p), Err(ScheduleError::UncoveredSensor(SensorId(1))));
+        assert_eq!(s.certify(&p), Err(ScheduleViolation::UncoveredSensor(SensorId(1))));
     }
 
     #[test]
     fn certify_rejects_undercharge() {
         let p = problem(&[(10.0, 0.0, 100.0)], 1);
         let s = Schedule::assemble(&p, vec![vec![(0, 40.0)]]);
-        assert_eq!(s.certify(&p), Err(ScheduleError::Undercharged(SensorId(0))));
+        assert_eq!(s.certify(&p), Err(ScheduleViolation::Undercharged(SensorId(0))));
     }
 
     #[test]
@@ -436,8 +272,8 @@ mod tests {
         let p = problem(&[(10.0, 0.0, 100.0), (12.0, 0.0, 100.0)], 2);
         let s = Schedule::assemble(&p, vec![vec![(0, 100.0)], vec![(1, 100.0)]]);
         match s.certify(&p) {
-            Err(ScheduleError::OverlapConflict { .. }) => {}
-            other => panic!("expected overlap conflict, got {other:?}"),
+            Err(ScheduleViolation::SimultaneousCharge { .. }) => {}
+            other => panic!("expected a simultaneous charge, got {other:?}"),
         }
     }
 
@@ -461,7 +297,7 @@ mod tests {
         let s = Schedule::assemble(&p, vec![vec![(0, 10.0)], vec![(0, 10.0)]]);
         // Both chargers stop at target 0.
         let err = s.certify(&p).unwrap_err();
-        assert_eq!(err, ScheduleError::DuplicateSojourn { target: 0 });
+        assert_eq!(err, ScheduleViolation::DuplicateTarget { target: 0 });
     }
 
     #[test]
@@ -471,7 +307,19 @@ mod tests {
         s.tours[0].sojourns[0].arrival_s = 1.0; // cannot arrive before 10 s
         assert_eq!(
             s.certify(&p),
-            Err(ScheduleError::InconsistentTimes { charger: 0, position: 0 })
+            Err(ScheduleViolation::UnreachableSojourn { charger: 0, position: 0 })
+        );
+    }
+
+    #[test]
+    fn certify_rejects_a_nan_start_without_panicking() {
+        // Two stops, so the start-time sort has a NaN to compare.
+        let p = problem(&[(10.0, 0.0, 10.0), (20.0, 0.0, 10.0)], 1);
+        let mut s = Schedule::assemble(&p, vec![vec![(0, 10.0), (1, 10.0)]]);
+        s.tours[0].sojourns[0].start_s = f64::NAN;
+        assert_eq!(
+            s.certify(&p),
+            Err(ScheduleViolation::ChargeBeforeArrival { charger: 0, position: 0 })
         );
     }
 
@@ -480,10 +328,7 @@ mod tests {
         let p = problem(&[(10.0, 0.0, 10.0)], 1);
         let mut s = Schedule::assemble(&p, vec![vec![(0, 10.0)]]);
         s.tours[0].return_time_s = 5.0;
-        assert_eq!(
-            s.certify(&p),
-            Err(ScheduleError::InconsistentTimes { charger: 0, position: usize::MAX })
-        );
+        assert_eq!(s.certify(&p), Err(ScheduleViolation::EarlyReturn { charger: 0 }));
     }
 
     #[test]
@@ -522,7 +367,7 @@ mod tests {
 
     #[test]
     fn error_display_mentions_the_sensor() {
-        let e = ScheduleError::Undercharged(SensorId(3));
+        let e = ScheduleViolation::Undercharged(SensorId(3));
         assert!(e.to_string().contains("s3"));
     }
 }

@@ -1,32 +1,29 @@
-//! Schedule invariant validation: every assumption the replay makes,
-//! checked explicitly.
+//! Schedule validation: the one checker of Definition 1 (§III-B).
 //!
-//! [`Schedule::certify`] proves feasibility against Definition 1 and
-//! stops at the first violated constraint — the right shape for planner
-//! unit tests. The simulation engines need something stricter and more
-//! forgiving at once: stricter because a silently-broken invariant
-//! corrupts *dead-time accounting* (the replay trusts completion times
-//! it never re-checks), and more forgiving because an engine recovering
-//! from a fault wants the **complete** list of violations to log and to
-//! decide whether a fallback planner must take over.
-//!
-//! [`validate_schedule`] therefore re-implements the replay's invariants
-//! independently of `certify` and collects *all* violations as typed
-//! [`ScheduleViolation`] values instead of returning the first:
+//! [`validate_schedule`] checks every constraint the replay relies on and
+//! collects *all* violations as typed [`ScheduleViolation`] values, in a
+//! deterministic order, instead of stopping at the first. A simulation
+//! engine recovering from a fault logs the complete list and decides
+//! whether a fallback planner must take over; [`Schedule::certify`] is
+//! the first-violation view of the same list, for planner tests and the
+//! CLI. Malformed input — a target outside the problem, a NaN time —
+//! yields a violation, never a panic.
 //!
 //! 1. one tour per charger ([`ScheduleViolation::TourCountMismatch`]);
-//! 2. every sojourn physically reachable and internally consistent
+//! 2. every sojourn names a target of the problem
+//!    ([`ScheduleViolation::UnknownTarget`]);
+//! 3. every sojourn physically reachable and internally consistent
 //!    (non-negative duration, no charging before arrival, no arrival
 //!    before the travel from the previous stop);
-//! 3. tours depot-closed: the recorded return time is late enough for
+//! 4. tours depot-closed: the recorded return time is late enough for
 //!    the final depot leg ([`ScheduleViolation::EarlyReturn`]);
-//! 4. each target is the sojourn location of at most one charger
+//! 5. each target is the sojourn location of at most one charger
 //!    ([`ScheduleViolation::DuplicateTarget`]);
-//! 5. every requested sensor inside at least one sojourn's disk
+//! 6. every requested sensor inside at least one sojourn's disk
 //!    ([`ScheduleViolation::UncoveredSensor`]);
-//! 6. no sensor inside two chargers' active disks at overlapping times
+//! 7. no sensor inside two chargers' active disks at overlapping times
 //!    ([`ScheduleViolation::SimultaneousCharge`]);
-//! 7. a physical replay fully charges every requested sensor
+//! 8. a physical replay fully charges every requested sensor
 //!    ([`ScheduleViolation::Undercharged`]).
 //!
 //! Both simulation engines run this pass on every dispatched and
@@ -39,10 +36,8 @@ use std::fmt;
 use wrsn_net::SensorId;
 
 use crate::conflict;
+use crate::schedule::TOL;
 use crate::{ChargingProblem, Schedule};
-
-/// Numerical slack for time comparisons (matches the certifier's).
-const TOL: f64 = 1e-6;
 
 /// One broken invariant of a schedule, with enough context to locate it.
 ///
@@ -57,6 +52,15 @@ pub enum ScheduleViolation {
         expected: usize,
         /// Tours in the schedule.
         actual: usize,
+    },
+    /// A sojourn names a target index the problem does not have.
+    UnknownTarget {
+        /// Charger index.
+        charger: usize,
+        /// Sojourn position within the tour.
+        position: usize,
+        /// The out-of-range target index.
+        target: usize,
     },
     /// A sojourn charges for a negative duration.
     NegativeDuration {
@@ -114,6 +118,9 @@ impl fmt::Display for ScheduleViolation {
             ScheduleViolation::TourCountMismatch { expected, actual } => {
                 write!(f, "schedule has {actual} tours for {expected} chargers")
             }
+            ScheduleViolation::UnknownTarget { charger, position, target } => {
+                write!(f, "charger {charger} sojourn {position} names unknown target {target}")
+            }
             ScheduleViolation::NegativeDuration { charger, position } => {
                 write!(f, "charger {charger} sojourn {position} has negative duration")
             }
@@ -158,8 +165,9 @@ impl Error for ScheduleViolation {}
 /// # Errors
 ///
 /// Returns the complete list of violations, in deterministic order
-/// (structural, per-tour times, duplicates, coverage, overlaps,
-/// undercharge).
+/// (tour count, per-tour times, duplicates, coverage, overlaps,
+/// undercharge). A sojourn naming an unknown target ends the check
+/// after the tour count: nothing else can be replayed.
 pub fn validate_schedule(
     problem: &ChargingProblem,
     schedule: &Schedule,
@@ -178,36 +186,35 @@ pub fn validate_schedule(
     // Bail out on out-of-range target indices before indexing anything:
     // a schedule referencing targets the problem doesn't have cannot be
     // replayed at all.
+    let before = violations.len();
     for (k, tour) in schedule.tours.iter().enumerate() {
         for (l, s) in tour.sojourns.iter().enumerate() {
             if s.target >= problem.len() {
-                violations.push(ScheduleViolation::UnreachableSojourn {
+                violations.push(ScheduleViolation::UnknownTarget {
                     charger: k,
                     position: l,
+                    target: s.target,
                 });
             }
         }
     }
-    if !violations.is_empty()
-        && violations
-            .iter()
-            .any(|v| matches!(v, ScheduleViolation::UnreachableSojourn { .. }))
-    {
+    if violations.len() > before {
         return Err(violations);
     }
 
-    // Per-tour time consistency and depot closure.
+    // Per-tour time consistency and depot closure. A NaN time fails the
+    // check it appears in: `<` alone is false for NaN.
     for (k, tour) in schedule.tours.iter().enumerate() {
         let mut t = 0.0;
         let mut prev: Option<usize> = None;
         for (l, s) in tour.sojourns.iter().enumerate() {
-            if s.duration_s < -TOL {
+            if s.duration_s.is_nan() || s.duration_s < -TOL {
                 violations.push(ScheduleViolation::NegativeDuration {
                     charger: k,
                     position: l,
                 });
             }
-            if s.start_s < s.arrival_s - TOL {
+            if s.start_s.is_nan() || s.start_s < s.arrival_s - TOL {
                 violations.push(ScheduleViolation::ChargeBeforeArrival {
                     charger: k,
                     position: l,
@@ -217,7 +224,7 @@ pub fn validate_schedule(
                 None => problem.depot_travel_time(s.target),
                 Some(p) => problem.travel_time(p, s.target),
             };
-            if s.arrival_s < t + travel - TOL {
+            if s.arrival_s.is_nan() || s.arrival_s < t + travel - TOL {
                 violations.push(ScheduleViolation::UnreachableSojourn {
                     charger: k,
                     position: l,
@@ -227,7 +234,8 @@ pub fn validate_schedule(
             prev = Some(s.target);
         }
         if let Some(p) = prev {
-            if tour.return_time_s < t + problem.depot_travel_time(p) - TOL {
+            let earliest = t + problem.depot_travel_time(p) - TOL;
+            if tour.return_time_s.is_nan() || tour.return_time_s < earliest {
                 violations.push(ScheduleViolation::EarlyReturn { charger: k });
             }
         }
@@ -384,9 +392,9 @@ mod tests {
         let p = problem(&[(10.0, 0.0, 10.0)], 1);
         let mut s = Schedule::assemble(&p, vec![vec![(0, 10.0)]]);
         s.tours[0].sojourns[0].target = 7;
-        let violations = validate_schedule(&p, &s).unwrap_err();
-        assert!(violations
-            .contains(&ScheduleViolation::UnreachableSojourn { charger: 0, position: 0 }));
+        let unknown = ScheduleViolation::UnknownTarget { charger: 0, position: 0, target: 7 };
+        assert_eq!(validate_schedule(&p, &s), Err(vec![unknown.clone()]));
+        assert_eq!(s.certify(&p), Err(unknown));
     }
 
     #[test]
@@ -420,15 +428,28 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_certify_on_planner_output() {
-        use crate::{Appro, Planner, PlannerConfig};
-        use wrsn_net::NetworkBuilder;
-        let net = NetworkBuilder::new(200).seed(11).build();
-        let requests = net.default_requesting_sensors();
-        let p = ChargingProblem::from_network(&net, &requests, 3).unwrap();
-        let s = Appro::new(PlannerConfig::default()).plan(&p).unwrap();
-        assert!(s.certify(&p).is_ok());
-        assert_eq!(validate_schedule(&p, &s), Ok(()));
+    fn certify_reports_the_first_violation() {
+        // Both chargers charge the overlapping pair at once, nobody
+        // visits sensor 2, and charger 0 comes home early: four
+        // violations from four different checks.
+        let p = problem(&[(10.0, 0.0, 100.0), (12.0, 0.0, 100.0), (50.0, 50.0, 10.0)], 2);
+        let mut s = Schedule::assemble(&p, vec![vec![(0, 100.0)], vec![(1, 100.0)]]);
+        s.tours[0].return_time_s = 1.0;
+        let violations = validate_schedule(&p, &s).unwrap_err();
+        assert_eq!(
+            violations,
+            vec![
+                ScheduleViolation::EarlyReturn { charger: 0 },
+                ScheduleViolation::UncoveredSensor(SensorId(2)),
+                ScheduleViolation::SimultaneousCharge {
+                    sensor: SensorId(0),
+                    charger_a: 0,
+                    charger_b: 1,
+                },
+                ScheduleViolation::Undercharged(SensorId(2)),
+            ]
+        );
+        assert_eq!(s.certify(&p), Err(violations[0].clone()));
     }
 
     #[test]

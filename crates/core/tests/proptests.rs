@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 use wrsn_core::{
-    conflict, Appro, ChargingParams, ChargingProblem, ChargingTarget, ContextMode, Planner,
-    PlannerConfig, ProblemContext, Schedule, ShardedPlanner,
+    conflict, validate_schedule, Appro, ChargingParams, ChargingProblem, ChargingTarget,
+    ContextMode, Planner, PlannerConfig, ProblemContext, Schedule, ScheduleViolation,
+    ShardedPlanner, Sojourn,
 };
 use wrsn_geom::{dist_matrix, Metric, Point};
 use wrsn_net::SensorId;
@@ -62,7 +63,7 @@ proptest! {
     }
 
     /// Appro schedules always certify, with and without conflict repair
-    /// (if a no-repair run certifies or fails only with OverlapConflict).
+    /// (a no-repair run may fail only with simultaneous charges).
     #[test]
     fn appro_certifies(problem in problem_strategy(50)) {
         let with_repair = Appro::new(PlannerConfig::default()).plan(&problem).unwrap();
@@ -71,10 +72,69 @@ proptest! {
         let mut cfg = PlannerConfig::default();
         cfg.enforce_no_overlap = false;
         let raw = Appro::new(cfg).plan(&problem).unwrap();
-        match raw.certify(&problem) {
-            Ok(()) | Err(wrsn_core::ScheduleError::OverlapConflict { .. }) => {}
-            Err(other) => prop_assert!(false, "unexpected: {other:?}"),
+        for v in validate_schedule(&problem, &raw).err().unwrap_or_default() {
+            prop_assert!(
+                matches!(v, ScheduleViolation::SimultaneousCharge { .. }),
+                "unexpected: {v:?}"
+            );
         }
+    }
+
+    /// The overlap rule against a pair-by-pair reference: the checker's
+    /// start-sorted sweep reports one simultaneous charge per pair of
+    /// sojourns on different chargers whose charging intervals overlap
+    /// and whose coverage lists share a sensor. Targets crowd a 12 m
+    /// square so disks overlap; times sit on a whole-second grid so no
+    /// overlap falls inside the checker's tolerance. Zero durations
+    /// reach the overlap test past the sweep's `break`.
+    #[test]
+    fn overlap_check_matches_a_pairwise_count(
+        k in 2usize..4,
+        stops in proptest::collection::vec(
+            (0.0f64..12.0, 0.0f64..12.0, 0usize..3, 0u32..40, 0u32..20),
+            2..16,
+        ),
+    ) {
+        let targets = stops
+            .iter()
+            .enumerate()
+            .map(|(i, &(x, y, ..))| ChargingTarget {
+                id: SensorId(i as u32),
+                pos: Point::new(x, y),
+                charge_duration_s: 1.0,
+                residual_lifetime_s: f64::INFINITY,
+            })
+            .collect();
+        let problem =
+            ChargingProblem::new(Point::new(6.0, 6.0), targets, k, ChargingParams::default())
+                .unwrap();
+        let mut schedule = Schedule::idle(k);
+        let mut sojourns = Vec::new();
+        for (target, &(_, _, charger, start, duration)) in stops.iter().enumerate() {
+            let (start_s, duration_s) = (f64::from(start), f64::from(duration));
+            let s = Sojourn { target, arrival_s: start_s, start_s, duration_s };
+            schedule.tours[charger % k].sojourns.push(s);
+            sojourns.push((charger % k, s));
+        }
+
+        let mut pairwise = 0;
+        for (i, &(ka, a)) in sojourns.iter().enumerate() {
+            for &(kb, b) in &sojourns[i + 1..] {
+                let overlap = a.finish_s().min(b.finish_s()) - a.start_s.max(b.start_s);
+                let (ca, cb) = (problem.coverage(a.target), problem.coverage(b.target));
+                let shared = ca.iter().any(|u| cb.contains(u));
+                if ka != kb && overlap > 0.0 && shared {
+                    pairwise += 1;
+                }
+            }
+        }
+        let reported = validate_schedule(&problem, &schedule)
+            .err()
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|v| matches!(v, ScheduleViolation::SimultaneousCharge { .. }))
+            .count();
+        prop_assert_eq!(reported, pairwise);
     }
 
     /// Travel metric sanity: symmetric, non-negative, triangle-ish.

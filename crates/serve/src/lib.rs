@@ -56,8 +56,9 @@
 //!   with decay and parole — all typed, ledgered *outside* the
 //!   conservation identity, and traced. A seeded, inert-by-default
 //!   [`adversary`] model (spoofed IDs, deficit liars, replay floods,
-//!   junk/oversize lines) drives the soak harness's adversarial mode
-//!   so the whole defense is exercised deterministically.
+//!   junk/oversize lines) supplies the soak harness's attack mix
+//!   ([`SoakConfig::adversary`]), so the whole defense is exercised
+//!   deterministically.
 //!
 //! The deterministic core ([`ServeEngine`]) is driven by explicit
 //! `submit`/`tick` calls on a virtual clock; [`daemon`] wraps it with
@@ -92,9 +93,6 @@ pub use ingress::{classify_line, read_bounded_line, BoundedLine, IngressEvent};
 pub use metrics::{LatencySummary, ServeMetrics};
 pub use queue::{IngressQueue, Offer, QueuedRequest};
 pub use request::{RequestParseError, ServeRequest};
-pub use soak::{
-    AdversarialSoakConfig, AdversarialSoakOutcome, ChaosDrillOutcome, SoakConfig,
-    SoakOutcome,
-};
+pub use soak::{ChaosDrillOutcome, SoakConfig, SoakOutcome};
 pub use wal::{Wal, WalEntry, WalError};
 pub use watchdog::{plan_guarded, GuardedPlan, PlanSource, PlannerFactory, TripReason};

@@ -7,6 +7,13 @@
 //! rate (including fractions of a request per tick) is honoured exactly
 //! over time, and every run is reproducible from its seed.
 //!
+//! [`run_soak`] is the one soak driver. Its [`SoakConfig::adversary`]
+//! may replace a fraction of arrivals with seeded attacks; disarmed (the
+//! default), the adversary draws nothing, so the soak is the honest
+//! generator alone. Either way the outcome tallies the honest stream and
+//! checks that it reconciles. [`run_chaos_drill`] drives the same
+//! honest generator through simulated kills and resumes.
+//!
 //! By default the soak runs on the engine's virtual clock as fast as
 //! the machine allows, which is what the acceptance target measures
 //! (sustained 10k+ req/s of offered load). With
@@ -26,13 +33,14 @@ use wrsn_net::Network;
 use crate::adversary::{AdversaryConfig, AdversaryCounters, AdversaryModel};
 use crate::engine::{Admission, ServeConfig, ServeEngine, ServeError, ServeReport};
 use crate::failpoint::ChaosConfig;
+use crate::ingress::{classify_line, IngressEvent};
 use crate::shutdown::stop_requested;
 use crate::watchdog::PlannerFactory;
 
 /// Soak load profile.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SoakConfig {
-    /// Offered load, requests per second of service time.
+    /// Offered load, arrival slots per second of service time.
     pub rate_per_s: f64,
     /// Service time to soak for, seconds.
     pub duration_s: f64,
@@ -47,6 +55,13 @@ pub struct SoakConfig {
     pub drain: bool,
     /// Cap on the drain phase, seconds of service time.
     pub drain_limit_s: f64,
+    /// The attack mix: the seeded adversary replaces its
+    /// `hostile_fraction` of arrivals with attacks. Disarmed by default.
+    pub adversary: AdversaryConfig,
+    /// Ingress line-length bound applied to every injected hostile line,
+    /// so an in-process oversize attack takes the same path as on the
+    /// wire (0 uses the hard backstop).
+    pub max_line_bytes: usize,
 }
 
 impl Default for SoakConfig {
@@ -59,7 +74,44 @@ impl Default for SoakConfig {
             realtime: false,
             drain: false,
             drain_limit_s: 3600.0,
+            adversary: AdversaryConfig::default(),
+            max_line_bytes: 4096,
         }
+    }
+}
+
+/// Per-outcome accounting of the honest traffic stream: every honest
+/// submission lands in exactly one bucket, so
+/// [`SoakOutcome::honest_ledger_reconciles`] can assert nothing was
+/// silently dropped even while under attack.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct HonestTally {
+    /// Honest submissions offered.
+    pub submitted: u64,
+    /// Accepted (including shed-on-arrival, which is ledgered).
+    pub admitted: u64,
+    /// Refused as duplicates (request already in flight).
+    pub duplicates: u64,
+    /// Rejected by the guard (collateral of aggressive tuning; still
+    /// typed and counted, never silent).
+    pub rejected: u64,
+    /// Refused while the sensor was quarantined.
+    pub refused_quarantined: u64,
+    /// Refused in durability-degraded mode.
+    pub refused_degraded: u64,
+    /// Refused as invalid (cannot happen for generated traffic; kept
+    /// so the accounting is total).
+    pub invalid: u64,
+}
+
+impl HonestTally {
+    fn accounted(&self) -> u64 {
+        self.admitted
+            + self.duplicates
+            + self.rejected
+            + self.refused_quarantined
+            + self.refused_degraded
+            + self.invalid
     }
 }
 
@@ -68,20 +120,69 @@ impl Default for SoakConfig {
 pub struct SoakOutcome {
     /// The engine's final report.
     pub report: ServeReport,
-    /// Requests the generator offered.
+    /// Arrival slots the generator produced (honest + hostile).
     pub offered: u64,
-    /// Wall-clock time the run took, seconds.
+    /// The honest stream's per-outcome accounting.
+    pub honest: HonestTally,
+    /// Hostile lines injected (replay bursts count every line).
+    pub hostile_lines: u64,
+    /// Attacks mounted, by kind.
+    pub attacks: AdversaryCounters,
+    /// Hostile lines the parser rejected (junk).
+    pub malformed: u64,
+    /// Whether the honest stream fully reconciles: every honest
+    /// submission accounted for, the engine ledger identity holds, and
+    /// `silent_loss == 0` — under attack. **Must be true.**
+    pub honest_ledger_reconciles: bool,
+    /// Wall-clock time of the run, seconds.
     pub wall_s: f64,
     /// Offered load per wall-clock second actually sustained.
     pub achieved_rate_per_s: f64,
 }
 
 impl SoakOutcome {
-    /// The outcome as JSON (what the CLI archives).
+    /// The outcome as JSON (what the CLI archives for CI).
     pub fn to_json(&self) -> serde_json::Value {
         let mut v = self.report.to_json();
         if let serde_json::Value::Object(map) = &mut v {
             map.insert("offered".into(), serde_json::Value::from(self.offered));
+            map.insert(
+                "honest_submitted".into(),
+                serde_json::Value::from(self.honest.submitted),
+            );
+            map.insert(
+                "honest_admitted".into(),
+                serde_json::Value::from(self.honest.admitted),
+            );
+            map.insert(
+                "honest_duplicates".into(),
+                serde_json::Value::from(self.honest.duplicates),
+            );
+            map.insert(
+                "honest_rejected".into(),
+                serde_json::Value::from(self.honest.rejected),
+            );
+            map.insert(
+                "honest_refused_quarantined".into(),
+                serde_json::Value::from(self.honest.refused_quarantined),
+            );
+            map.insert("hostile_lines".into(), serde_json::Value::from(self.hostile_lines));
+            map.insert("attacks_spoofed".into(), serde_json::Value::from(self.attacks.spoofed));
+            map.insert("attacks_lies".into(), serde_json::Value::from(self.attacks.lies));
+            map.insert(
+                "attacks_replayed_lines".into(),
+                serde_json::Value::from(self.attacks.replayed_lines),
+            );
+            map.insert("attacks_junk".into(), serde_json::Value::from(self.attacks.junk));
+            map.insert(
+                "attacks_oversize".into(),
+                serde_json::Value::from(self.attacks.oversize),
+            );
+            map.insert("malformed".into(), serde_json::Value::from(self.malformed));
+            map.insert(
+                "honest_ledger_reconciles".into(),
+                serde_json::Value::Bool(self.honest_ledger_reconciles),
+            );
             map.insert("wall_s".into(), serde_json::Value::from(self.wall_s));
             map.insert(
                 "achieved_rate_per_s".into(),
@@ -92,12 +193,79 @@ impl SoakOutcome {
     }
 }
 
+/// The honest open-loop generator: one ChaCha12 stream from the soak
+/// seed draws each request's sensor and deficit fraction, and a
+/// fractional per-tick carry honours any rate exactly over time.
+struct Arrivals {
+    rng: ChaCha12Rng,
+    per_tick: f64,
+    carry: f64,
+    sensors: usize,
+    deficit_fraction: (f64, f64),
+    /// Ticks of load in the soak: an exact count, not a `now_s < end`
+    /// comparison, so floating-point drift in the clock cannot add or
+    /// drop a tick.
+    ticks: u64,
+}
+
+impl Arrivals {
+    /// # Panics
+    ///
+    /// If `cfg.rate_per_s` or `cfg.duration_s` is negative or non-finite.
+    fn new(cfg: &SoakConfig, sensors: usize, tick_s: f64) -> Arrivals {
+        assert!(
+            cfg.rate_per_s >= 0.0 && cfg.rate_per_s.is_finite(),
+            "soak rate must be non-negative and finite"
+        );
+        assert!(
+            cfg.duration_s >= 0.0 && cfg.duration_s.is_finite(),
+            "soak duration must be non-negative and finite"
+        );
+        Arrivals {
+            rng: ChaCha12Rng::seed_from_u64(cfg.seed),
+            per_tick: cfg.rate_per_s * tick_s,
+            carry: 0.0,
+            sensors,
+            deficit_fraction: cfg.deficit_fraction,
+            ticks: (cfg.duration_s / tick_s).round() as u64,
+        }
+    }
+
+    /// Advances the carry by one tick and returns the arrivals due in it.
+    fn tick(&mut self) -> u64 {
+        self.carry += self.per_tick;
+        let due = self.carry.floor() as u64;
+        self.carry -= due as f64;
+        due
+    }
+
+    /// Draws one honest request: a sensor and its deficit fraction.
+    fn draw(&mut self) -> (u32, f64) {
+        let sensor = self.rng.gen_range(0..self.sensors) as u32;
+        let (lo, hi) = self.deficit_fraction;
+        let fraction = if hi > lo { self.rng.gen_range(lo..=hi) } else { lo };
+        (sensor, fraction)
+    }
+}
+
 /// Drives `engine` with `cfg`'s load until the duration elapses or
 /// `stop` trips, then shuts the engine down and reports.
 ///
+/// An armed [`SoakConfig::adversary`] replaces its fraction of arrival
+/// slots with attacks. Hostile lines go through
+/// [`crate::ingress::classify_line`] — the same length-bound-then-parse
+/// policy as the daemon's wire path — so junk and oversize attacks
+/// exercise the parser and the counters exactly as a socket client
+/// would. Honest deficits stay inside the guard's plausibility margin,
+/// so what separates honest from hostile is the *behaviour*, not a
+/// whitelist. Disarmed, the adversary draws nothing: every slot is an
+/// honest request from the seeded generator, and `tests/regression.rs`
+/// pins that digest.
+///
 /// # Errors
 ///
-/// Propagates engine I/O failures ([`ServeError::Io`]).
+/// [`ServeError::Adversary`] for an invalid attack mix; engine I/O
+/// failures ([`ServeError::Io`]).
 ///
 /// # Panics
 ///
@@ -107,39 +275,53 @@ pub fn run_soak(
     cfg: &SoakConfig,
     stop: Option<&Arc<AtomicBool>>,
 ) -> Result<SoakOutcome, ServeError> {
-    assert!(
-        cfg.rate_per_s >= 0.0 && cfg.rate_per_s.is_finite(),
-        "soak rate must be non-negative and finite"
-    );
-    assert!(
-        cfg.duration_s >= 0.0 && cfg.duration_s.is_finite(),
-        "soak duration must be non-negative and finite"
-    );
-    let mut rng = ChaCha12Rng::seed_from_u64(cfg.seed);
-    let n = engine.sensor_count();
-    let tick_s = engine.config().tick_s;
-    // An exact tick count, not a `now_s < end` comparison: accumulated
-    // floating-point drift in the clock must not add or drop a tick.
-    let ticks = (cfg.duration_s / tick_s).round() as u64;
-    let (f_lo, f_hi) = cfg.deficit_fraction;
+    let (n, tick_s) = (engine.sensor_count(), engine.config().tick_s);
+    let mut arrivals = Arrivals::new(cfg, n, tick_s);
+    cfg.adversary.validate()?;
+    let mut adversary = AdversaryModel::new(cfg.adversary);
     let t0 = Instant::now();
     let mut offered = 0u64;
-    let mut carry = 0.0f64;
+    let mut honest = HonestTally::default();
+    let mut hostile_lines = 0u64;
+    let mut malformed = 0u64;
 
     let mut stopped = false;
-    for _ in 0..ticks {
+    for _ in 0..arrivals.ticks {
         if stop.is_some_and(|f| stop_requested(f)) {
             stopped = true;
             break;
         }
-        carry += cfg.rate_per_s * tick_s;
-        let arrivals = carry.floor() as u64;
-        carry -= arrivals as f64;
-        for _ in 0..arrivals {
-            let sensor = rng.gen_range(0..n) as u32;
-            let fraction = if f_hi > f_lo { rng.gen_range(f_lo..=f_hi) } else { f_lo };
+        for _ in 0..arrivals.tick() {
             offered += 1;
-            engine.submit_fraction(sensor, fraction)?;
+            if adversary.roll_hostile() {
+                let (_, lines) = adversary.attack(n as u32);
+                for line in &lines {
+                    hostile_lines += 1;
+                    match classify_line(line, cfg.max_line_bytes) {
+                        IngressEvent::Request(req) => {
+                            // Whatever the guard and the engine decide
+                            // is already ledgered; nothing to tally.
+                            let _ = engine.submit(req.sensor, req.deficit_j)?;
+                        }
+                        IngressEvent::Malformed(_) => malformed += 1,
+                        IngressEvent::Oversize => engine.note_ingress_oversize(),
+                        _ => {}
+                    }
+                }
+            } else {
+                honest.submitted += 1;
+                let (sensor, fraction) = arrivals.draw();
+                match engine.submit_fraction(sensor, fraction)? {
+                    Admission::Accepted { .. } | Admission::ShedOnArrival { .. } => {
+                        honest.admitted += 1;
+                    }
+                    Admission::Duplicate => honest.duplicates += 1,
+                    Admission::Rejected { .. } => honest.rejected += 1,
+                    Admission::RefusedQuarantined => honest.refused_quarantined += 1,
+                    Admission::RefusedDegraded => honest.refused_degraded += 1,
+                    Admission::Invalid => honest.invalid += 1,
+                }
+            }
         }
         engine.tick()?;
         if cfg.realtime {
@@ -158,10 +340,19 @@ pub fn run_soak(
     }
 
     let wall_s = t0.elapsed().as_secs_f64();
+    let attacks = *adversary.counters();
     let report = engine.shutdown()?;
+    let honest_ledger_reconciles = honest.accounted() == honest.submitted
+        && report.ledger_reconciles
+        && report.silent_loss() == 0;
     Ok(SoakOutcome {
         report,
         offered,
+        honest,
+        hostile_lines,
+        attacks,
+        malformed,
+        honest_ledger_reconciles,
         wall_s,
         achieved_rate_per_s: if wall_s > 0.0 { offered as f64 / wall_s } else { 0.0 },
     })
@@ -277,6 +468,9 @@ impl LifeBase {
 /// no final snapshot. The real-process SIGKILL variant lives in the CI
 /// chaos-drill job on top of the CLI.
 ///
+/// The drill offers honest load only: it ignores `soak.adversary`,
+/// `soak.max_line_bytes` and `soak.realtime`.
+///
 /// # Errors
 ///
 /// Propagates engine construction/resume failures. Storage faults
@@ -296,29 +490,17 @@ pub fn run_chaos_drill(
     kill_cycles: u32,
     state_dir: &Path,
 ) -> Result<ChaosDrillOutcome, ServeError> {
-    assert!(
-        soak.rate_per_s >= 0.0 && soak.rate_per_s.is_finite(),
-        "drill rate must be non-negative and finite"
-    );
-    assert!(
-        soak.duration_s >= 0.0 && soak.duration_s.is_finite(),
-        "drill duration must be non-negative and finite"
-    );
+    let mut arrivals = Arrivals::new(soak, net.sensors().len(), serve_cfg.tick_s);
     std::fs::create_dir_all(state_dir).map_err(|e| ServeError::Io(e.to_string()))?;
     let wal_path = state_dir.join("requests.wal");
     let snap_path = state_dir.join("serve_checkpoint.json");
 
-    let mut rng = ChaCha12Rng::seed_from_u64(soak.seed);
-    let n = net.sensors().len();
-    let tick_s = serve_cfg.tick_s;
-    let total_ticks = ((soak.duration_s / tick_s).round() as u64).max(1);
+    let total_ticks = arrivals.ticks.max(1);
     let lives = u64::from(kill_cycles) + 1;
-    let (f_lo, f_hi) = soak.deficit_fraction;
     let t0 = Instant::now();
 
     let mut offered = 0u64;
     let mut refused_degraded = 0u64;
-    let mut carry = 0.0f64;
     let mut kills = 0u32;
     let mut resumes_ok = 0u32;
     let mut conservation_held = true;
@@ -344,12 +526,8 @@ pub fn run_chaos_drill(
             (total_ticks / lives).max(1)
         };
         for _ in 0..seg {
-            carry += soak.rate_per_s * tick_s;
-            let arrivals = carry.floor() as u64;
-            carry -= arrivals as f64;
-            for _ in 0..arrivals {
-                let sensor = rng.gen_range(0..n) as u32;
-                let fraction = if f_hi > f_lo { rng.gen_range(f_lo..=f_hi) } else { f_lo };
+            for _ in 0..arrivals.tick() {
+                let (sensor, fraction) = arrivals.draw();
                 offered += 1;
                 if matches!(
                     engine.submit_fraction(sensor, fraction)?,
@@ -433,268 +611,6 @@ pub fn run_chaos_drill(
         degraded_exits,
         io_retries,
         compactions,
-        wall_s,
-    })
-}
-
-/// Adversarial soak profile: honest open-loop load with a fraction of
-/// arrivals replaced by the seeded adversary's attacks.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdversarialSoakConfig {
-    /// The honest load profile (rate, duration, seed, realtime/drain).
-    pub soak: SoakConfig,
-    /// The attack mix; disarmed by default, making the run
-    /// bit-identical to an honest-only soak of the same shape.
-    pub adversary: AdversaryConfig,
-    /// Ingress line-length bound applied to every injected line, so an
-    /// in-process oversize attack takes the same path as on the wire
-    /// (0 uses the hard backstop).
-    pub max_line_bytes: usize,
-}
-
-impl Default for AdversarialSoakConfig {
-    fn default() -> Self {
-        AdversarialSoakConfig {
-            soak: SoakConfig::default(),
-            adversary: AdversaryConfig::default(),
-            max_line_bytes: 4096,
-        }
-    }
-}
-
-/// Per-outcome accounting of the honest traffic stream: every honest
-/// submission lands in exactly one bucket, so
-/// [`AdversarialSoakOutcome::honest_ledger_reconciles`] can assert
-/// nothing was silently dropped even while under attack.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HonestTally {
-    /// Honest submissions offered.
-    pub submitted: u64,
-    /// Accepted (including shed-on-arrival, which is ledgered).
-    pub admitted: u64,
-    /// Refused as duplicates (request already in flight).
-    pub duplicates: u64,
-    /// Rejected by the guard (collateral of aggressive tuning; still
-    /// typed and counted, never silent).
-    pub rejected: u64,
-    /// Refused while the sensor was quarantined.
-    pub refused_quarantined: u64,
-    /// Refused in durability-degraded mode.
-    pub refused_degraded: u64,
-    /// Refused as invalid (cannot happen for generated traffic; kept
-    /// so the accounting is total).
-    pub invalid: u64,
-}
-
-impl HonestTally {
-    fn accounted(&self) -> u64 {
-        self.admitted
-            + self.duplicates
-            + self.rejected
-            + self.refused_quarantined
-            + self.refused_degraded
-            + self.invalid
-    }
-}
-
-/// What an adversarial soak did.
-#[derive(Clone, Debug)]
-pub struct AdversarialSoakOutcome {
-    /// The engine's final report.
-    pub report: ServeReport,
-    /// Arrival slots the generator produced (honest + hostile).
-    pub offered: u64,
-    /// The honest stream's per-outcome accounting.
-    pub honest: HonestTally,
-    /// Hostile lines injected (replay bursts count every line).
-    pub hostile_lines: u64,
-    /// Attacks mounted, by kind.
-    pub attacks: AdversaryCounters,
-    /// Hostile lines the parser rejected (junk).
-    pub malformed: u64,
-    /// Whether the honest stream fully reconciles: every honest
-    /// submission accounted for, the engine ledger identity holds, and
-    /// `silent_loss == 0` — under attack. **Must be true.**
-    pub honest_ledger_reconciles: bool,
-    /// Wall-clock time of the run, seconds.
-    pub wall_s: f64,
-}
-
-impl AdversarialSoakOutcome {
-    /// The outcome as JSON (what the CLI archives for CI).
-    pub fn to_json(&self) -> serde_json::Value {
-        let mut v = self.report.to_json();
-        if let serde_json::Value::Object(map) = &mut v {
-            map.insert("offered".into(), serde_json::Value::from(self.offered));
-            map.insert(
-                "honest_submitted".into(),
-                serde_json::Value::from(self.honest.submitted),
-            );
-            map.insert(
-                "honest_admitted".into(),
-                serde_json::Value::from(self.honest.admitted),
-            );
-            map.insert(
-                "honest_duplicates".into(),
-                serde_json::Value::from(self.honest.duplicates),
-            );
-            map.insert(
-                "honest_rejected".into(),
-                serde_json::Value::from(self.honest.rejected),
-            );
-            map.insert(
-                "honest_refused_quarantined".into(),
-                serde_json::Value::from(self.honest.refused_quarantined),
-            );
-            map.insert("hostile_lines".into(), serde_json::Value::from(self.hostile_lines));
-            map.insert("attacks_spoofed".into(), serde_json::Value::from(self.attacks.spoofed));
-            map.insert("attacks_lies".into(), serde_json::Value::from(self.attacks.lies));
-            map.insert(
-                "attacks_replayed_lines".into(),
-                serde_json::Value::from(self.attacks.replayed_lines),
-            );
-            map.insert("attacks_junk".into(), serde_json::Value::from(self.attacks.junk));
-            map.insert(
-                "attacks_oversize".into(),
-                serde_json::Value::from(self.attacks.oversize),
-            );
-            map.insert("malformed".into(), serde_json::Value::from(self.malformed));
-            map.insert(
-                "honest_ledger_reconciles".into(),
-                serde_json::Value::Bool(self.honest_ledger_reconciles),
-            );
-            map.insert("wall_s".into(), serde_json::Value::from(self.wall_s));
-        }
-        v
-    }
-}
-
-/// Drives `engine` with `cfg.soak`'s honest load while the seeded
-/// adversary replaces `hostile_fraction` of arrivals with attacks.
-///
-/// Hostile lines go through [`crate::ingress::classify_line`] — the
-/// same length-bound-then-parse policy as the daemon's wire path — so
-/// junk and oversize attacks exercise the parser and the counters
-/// exactly as a socket client would. Honest traffic is the same
-/// generator as [`run_soak`] (sensor choice and deficit draw from the
-/// same seeded stream) — honest deficits stay inside the guard's
-/// plausibility margin, so what separates honest from hostile is the
-/// *behaviour*, not a whitelist.
-///
-/// With the adversary disarmed the model draws zero RNG values, so the
-/// run is bit-identical to the same honest generator alone —
-/// `tests/regression.rs` pins that digest.
-///
-/// # Errors
-///
-/// [`ServeError::Adversary`] for an invalid attack mix; otherwise as
-/// [`run_soak`].
-///
-/// # Panics
-///
-/// If `cfg.soak.rate_per_s` or `cfg.soak.duration_s` is negative or
-/// non-finite.
-pub fn run_adversarial_soak(
-    mut engine: ServeEngine,
-    cfg: &AdversarialSoakConfig,
-    stop: Option<&Arc<AtomicBool>>,
-) -> Result<AdversarialSoakOutcome, ServeError> {
-    assert!(
-        cfg.soak.rate_per_s >= 0.0 && cfg.soak.rate_per_s.is_finite(),
-        "soak rate must be non-negative and finite"
-    );
-    assert!(
-        cfg.soak.duration_s >= 0.0 && cfg.soak.duration_s.is_finite(),
-        "soak duration must be non-negative and finite"
-    );
-    cfg.adversary.validate()?;
-    let mut rng = ChaCha12Rng::seed_from_u64(cfg.soak.seed);
-    let mut adversary = AdversaryModel::new(cfg.adversary);
-    let n = engine.sensor_count();
-    let tick_s = engine.config().tick_s;
-    let ticks = (cfg.soak.duration_s / tick_s).round() as u64;
-    let (f_lo, f_hi) = cfg.soak.deficit_fraction;
-    let t0 = Instant::now();
-    let mut offered = 0u64;
-    let mut carry = 0.0f64;
-    let mut honest = HonestTally::default();
-    let mut hostile_lines = 0u64;
-    let mut malformed = 0u64;
-
-    let mut stopped = false;
-    for _ in 0..ticks {
-        if stop.is_some_and(|f| stop_requested(f)) {
-            stopped = true;
-            break;
-        }
-        carry += cfg.soak.rate_per_s * tick_s;
-        let arrivals = carry.floor() as u64;
-        carry -= arrivals as f64;
-        for _ in 0..arrivals {
-            offered += 1;
-            if adversary.roll_hostile() {
-                let (_, lines) = adversary.attack(n as u32);
-                for line in &lines {
-                    hostile_lines += 1;
-                    match crate::ingress::classify_line(line, cfg.max_line_bytes) {
-                        crate::ingress::IngressEvent::Request(req) => {
-                            // Whatever the guard and the engine decide
-                            // is already ledgered; nothing to tally.
-                            let _ = engine.submit(req.sensor, req.deficit_j)?;
-                        }
-                        crate::ingress::IngressEvent::Malformed(_) => malformed += 1,
-                        crate::ingress::IngressEvent::Oversize => {
-                            engine.note_ingress_oversize();
-                        }
-                        _ => {}
-                    }
-                }
-            } else {
-                honest.submitted += 1;
-                let sensor = rng.gen_range(0..n) as u32;
-                let fraction = if f_hi > f_lo { rng.gen_range(f_lo..=f_hi) } else { f_lo };
-                match engine.submit_fraction(sensor, fraction)? {
-                    Admission::Accepted { .. } | Admission::ShedOnArrival { .. } => {
-                        honest.admitted += 1;
-                    }
-                    Admission::Duplicate => honest.duplicates += 1,
-                    Admission::Rejected { .. } => honest.rejected += 1,
-                    Admission::RefusedQuarantined => honest.refused_quarantined += 1,
-                    Admission::RefusedDegraded => honest.refused_degraded += 1,
-                    Admission::Invalid => honest.invalid += 1,
-                }
-            }
-        }
-        engine.tick()?;
-        if cfg.soak.realtime {
-            std::thread::sleep(std::time::Duration::from_secs_f64(tick_s));
-        }
-    }
-
-    if cfg.soak.drain && !stopped {
-        let drain_end = engine.now_s() + cfg.soak.drain_limit_s.max(0.0);
-        while engine.in_flight() > 0 && engine.now_s() < drain_end {
-            if stop.is_some_and(|f| stop_requested(f)) {
-                break;
-            }
-            engine.tick()?;
-        }
-    }
-
-    let wall_s = t0.elapsed().as_secs_f64();
-    let attacks = *adversary.counters();
-    let report = engine.shutdown()?;
-    let honest_ledger_reconciles = honest.accounted() == honest.submitted
-        && report.ledger_reconciles
-        && report.silent_loss() == 0;
-    Ok(AdversarialSoakOutcome {
-        report,
-        offered,
-        honest,
-        hostile_lines,
-        attacks,
-        malformed,
-        honest_ledger_reconciles,
         wall_s,
     })
 }
@@ -884,17 +800,14 @@ mod tests {
             guard: armed_guard(),
             ..ServeConfig::default()
         };
-        let cfg = AdversarialSoakConfig {
-            soak: SoakConfig {
-                rate_per_s: 300.0,
-                duration_s: 30.0,
-                seed: 5,
-                // Tiny deficits (a few joules) keep charge durations
-                // short enough for honest work to complete in-run.
-                deficit_fraction: (0.0002, 0.001),
-                drain: true,
-                ..SoakConfig::default()
-            },
+        let cfg = SoakConfig {
+            rate_per_s: 300.0,
+            duration_s: 30.0,
+            seed: 5,
+            // Tiny deficits (a few joules) keep charge durations
+            // short enough for honest work to complete in-run.
+            deficit_fraction: (0.0002, 0.001),
+            drain: true,
             adversary: AdversaryConfig {
                 seed: 17,
                 hostile_fraction: 0.2,
@@ -903,8 +816,9 @@ mod tests {
                 oversize_bytes: 8192,
             },
             max_line_bytes: 4096,
+            ..SoakConfig::default()
         };
-        let out = run_adversarial_soak(engine(120, serve_cfg), &cfg, None).unwrap();
+        let out = run_soak(engine(120, serve_cfg), &cfg, None).unwrap();
         assert!(out.honest_ledger_reconciles, "honest stream must reconcile");
         assert!(out.report.ledger_reconciles);
         assert_eq!(out.report.silent_loss(), 0);
@@ -939,17 +853,20 @@ mod tests {
             guard: armed_guard(),
             ..ServeConfig::default()
         };
-        let cfg = AdversarialSoakConfig {
-            soak: SoakConfig { rate_per_s: 200.0, duration_s: 5.0, seed: 8, ..SoakConfig::default() },
+        let cfg = SoakConfig {
+            rate_per_s: 200.0,
+            duration_s: 5.0,
+            seed: 8,
             adversary: AdversaryConfig {
                 seed: 23,
                 hostile_fraction: 0.3,
                 ..AdversaryConfig::default()
             },
             max_line_bytes: 512,
+            ..SoakConfig::default()
         };
-        let a = run_adversarial_soak(engine(80, serve_cfg), &cfg, None).unwrap();
-        let b = run_adversarial_soak(engine(80, serve_cfg), &cfg, None).unwrap();
+        let a = run_soak(engine(80, serve_cfg), &cfg, None).unwrap();
+        let b = run_soak(engine(80, serve_cfg), &cfg, None).unwrap();
         assert_eq!(a.offered, b.offered);
         assert_eq!(a.honest, b.honest);
         assert_eq!(a.attacks, b.attacks);
@@ -959,17 +876,20 @@ mod tests {
 
     #[test]
     fn disarmed_adversary_is_bit_identical_to_the_honest_generator_alone() {
-        // The adversary draws zero RNG values when disarmed, so two
-        // disarmed runs and the honest-only path must coincide exactly
-        // (the pinned regression digest builds on this).
+        // The adversary draws zero RNG values when disarmed, so a
+        // disarmed model with its own seed leaves the honest generator's
+        // run exactly as the default config runs it (the pinned
+        // regression digest builds on this).
         let serve_cfg = ServeConfig { k: 2, guard: armed_guard(), ..ServeConfig::default() };
-        let cfg = AdversarialSoakConfig {
-            soak: SoakConfig { rate_per_s: 250.0, duration_s: 4.0, seed: 3, ..SoakConfig::default() },
-            adversary: AdversaryConfig::default(),
-            max_line_bytes: 4096,
+        let plain_cfg =
+            SoakConfig { rate_per_s: 250.0, duration_s: 4.0, seed: 3, ..SoakConfig::default() };
+        let cfg = SoakConfig {
+            adversary: AdversaryConfig { seed: 99, ..AdversaryConfig::default() },
+            ..plain_cfg
         };
-        let a = run_adversarial_soak(engine(70, serve_cfg), &cfg, None).unwrap();
-        let plain = run_soak(engine(70, serve_cfg), &cfg.soak, None).unwrap();
+        let a = run_soak(engine(70, serve_cfg), &cfg, None).unwrap();
+        let plain = run_soak(engine(70, serve_cfg), &plain_cfg, None).unwrap();
+        assert!(a.honest_ledger_reconciles);
         assert_eq!(a.hostile_lines, 0);
         assert_eq!(a.attacks, AdversaryCounters::default());
         assert_eq!(a.honest.submitted, a.offered);

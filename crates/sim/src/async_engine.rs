@@ -38,8 +38,6 @@ use wrsn_net::SensorId;
 use crate::engine::{SimConfig, SimConfigError};
 use crate::kernel::{batch_size, truncate_tour, Kernel};
 use crate::report::{RoundStats, SimReport};
-#[cfg(test)]
-use crate::Simulation;
 use crate::TraceEvent;
 
 /// One in-flight sojourn of a busy charger (absolute times).
@@ -508,6 +506,7 @@ impl AsyncSimulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Simulation;
     use wrsn_core::{Appro, PlannerConfig};
     use wrsn_net::NetworkBuilder;
 

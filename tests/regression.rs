@@ -541,11 +541,8 @@ const EXPECTED_INERT_CHAOS: u64 = 0x0933_bdba_b88c_d428;
 #[test]
 fn inert_adversary_matches_pinned_serve_digest() {
     use std::sync::Arc;
-    use wrsn_serve::soak::{run_adversarial_soak, run_soak};
-    use wrsn_serve::{
-        AdversarialSoakConfig, AdversaryConfig, PlannerFactory, ServeConfig, ServeEngine,
-        SoakConfig,
-    };
+    use wrsn_serve::soak::run_soak;
+    use wrsn_serve::{AdversaryConfig, PlannerFactory, ServeConfig, ServeEngine, SoakConfig};
 
     let factory: Arc<PlannerFactory> =
         Arc::new(|| Box::new(wrsn_core::GreedyTour) as Box<dyn wrsn_core::Planner>);
@@ -569,13 +566,12 @@ fn inert_adversary_matches_pinned_serve_digest() {
         h
     };
 
-    let disarmed = AdversarialSoakConfig {
-        soak,
+    let disarmed = SoakConfig {
         adversary: AdversaryConfig { seed: 0x0BAD_5EED, ..AdversaryConfig::default() },
-        max_line_bytes: 4096,
+        ..soak
     };
     assert!(!disarmed.adversary.is_active(), "a bare seed must never arm the model");
-    let adversarial = run_adversarial_soak(engine(), &disarmed, None).unwrap();
+    let adversarial = run_soak(engine(), &disarmed, None).unwrap();
     let plain = run_soak(engine(), &soak, None).unwrap();
 
     assert_eq!(adversarial.hostile_lines, 0);

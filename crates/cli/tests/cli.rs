@@ -208,6 +208,42 @@ fn resume_rejects_another_instance_without_panicking() {
 }
 
 #[test]
+fn resume_rejects_a_nan_residual_without_panicking() {
+    let dir = std::env::temp_dir().join("wrsn_cli_nan_ckpt_test");
+    std::fs::remove_dir_all(&dir).ok();
+    let base = ["simulate", "--n", "200", "--k", "2", "--days", "30", "--seed", "4"];
+    let ckpt = wrsn()
+        .args(base)
+        .args(["--checkpoint-every", "5"])
+        .env("CARGO_TARGET_DIR", &dir)
+        .output()
+        .expect("binary runs");
+    assert!(ckpt.status.success(), "{}", String::from_utf8_lossy(&ckpt.stderr));
+    let snap = dir.join("wrsn-results").join("checkpoint_round0010.json");
+    let text = std::fs::read_to_string(&snap).expect("round-10 checkpoint");
+    let mut v: serde_json::Value = serde_json::from_str(&text).expect("snapshot JSON");
+    let serde_json::Value::Object(m) = &mut v else { panic!("a snapshot is an object") };
+    let mut sensors = m.get("sensors").and_then(|s| s.as_array()).expect("sensors").clone();
+    let rate_bits = sensors[0][1].as_u64().expect("rate bits");
+    sensors[0] = serde_json::Value::from(vec![f64::NAN.to_bits(), rate_bits]);
+    m.insert("sensors".into(), serde_json::Value::Array(sensors));
+    let bad = dir.join("nan_residual.json");
+    std::fs::write(&bad, v.to_string()).expect("writable temp dir");
+
+    let out = wrsn()
+        .args(base)
+        .args(["--resume", bad.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("corrupt snapshot: sensor residual"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resume_rejects_async_dispatch() {
     let out = wrsn()
         .args([

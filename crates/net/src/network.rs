@@ -178,21 +178,14 @@ impl Network {
 
     /// Time until the *next* sensor crosses the request threshold (or
     /// dies, whichever event the caller asks for via `target_fraction`),
-    /// ignoring sensors already below it. `None` if no sensor ever will
-    /// (zero consumption).
+    /// ignoring sensors already below it: the least
+    /// [`Sensor::time_to_fraction`], the first of equal values kept.
+    /// `None` if no sensor ever will (zero consumption).
     pub fn time_to_next_crossing(&self, target_fraction: f64) -> Option<f64> {
         self.sensors
             .iter()
-            .filter(|s| s.consumption_w > 0.0)
-            .filter_map(|s| {
-                let target = target_fraction * s.capacity_j;
-                if s.residual_j <= target {
-                    None
-                } else {
-                    Some((s.residual_j - target) / s.consumption_w)
-                }
-            })
-            .min_by(|a, b| a.partial_cmp(b).unwrap())
+            .filter_map(|s| s.time_to_fraction(target_fraction))
+            .reduce(|best, t| if t < best { t } else { best })
     }
 }
 

@@ -103,6 +103,20 @@ impl Sensor {
         self.lifetime_for_residual(self.residual_j)
     }
 
+    /// Seconds until the residual falls to `fraction · C_v` at the
+    /// current consumption rate: the sensor's own term of
+    /// [`Network::time_to_next_crossing`](crate::Network::time_to_next_crossing).
+    /// `None` when it never will (it consumes nothing) or it already
+    /// sits at or below that level.
+    pub fn time_to_fraction(&self, fraction: f64) -> Option<f64> {
+        let target = fraction * self.capacity_j;
+        if self.consumption_w > 0.0 && self.residual_j > target {
+            Some((self.residual_j - target) / self.consumption_w)
+        } else {
+            None
+        }
+    }
+
     /// Residual lifetime the sensor *would* have at `residual_j` joules,
     /// in seconds — the same formula as [`Sensor::residual_lifetime_s`]
     /// applied to a hypothetical residual. Used by the base station to
@@ -212,6 +226,19 @@ mod tests {
         let mut free = sensor();
         free.consumption_w = 0.0;
         assert_eq!(free.residual_lifetime_s(), f64::INFINITY);
+    }
+
+    #[test]
+    fn time_to_fraction_skips_sensors_at_or_below_it() {
+        let mut s = sensor();
+        assert_eq!(s.time_to_fraction(0.2), Some((10_800.0 - 2_160.0) / 0.01));
+        s.residual_j = 2_160.0; // exactly at the threshold
+        assert_eq!(s.time_to_fraction(0.2), None);
+        s.residual_j = f64::NAN;
+        assert_eq!(s.time_to_fraction(0.2), None);
+        let mut free = sensor();
+        free.consumption_w = 0.0;
+        assert_eq!(free.time_to_fraction(0.2), None);
     }
 
     #[test]

@@ -146,8 +146,14 @@ impl AsyncSimulation {
                 .filter(|&c| free_at[c] <= t)
                 .filter(|&c| kn.energy.as_ref().is_none_or(|ef| ef.in_service(c, t)))
                 .collect();
-            let pending: Vec<SensorId> =
-                kn.requests(t).into_iter().filter(|id| !assigned[id.index()]).collect();
+            // Reports and channel messages land on every event; only a
+            // free charger reads the pending set.
+            kn.advance_reports(t);
+            let pending: Vec<SensorId> = if free.is_empty() {
+                Vec::new()
+            } else {
+                kn.pending().into_iter().filter(|id| !assigned[id.index()]).collect()
+            };
 
             if !free.is_empty() && pending.len() >= batch {
                 let c = free[0];
@@ -469,32 +475,12 @@ impl AsyncSimulation {
             }
             kn.drain(next - t);
             kn.t = next;
-            // Apply due recharges; with imperfect telemetry the arriving
-            // MCV measures the true residual, the estimator reconciles,
-            // and the battery absorbs at most the sojourn's fixed budget.
             while let Some(&(rt, idx, planned)) = recharges.first() {
                 if rt > next + 1e-9 {
                     break;
                 }
                 recharges.remove(0);
-                match kn.telemetry.as_mut() {
-                    None => kn.net.sensors_mut()[idx].recharge_to(target_frac),
-                    Some(tel) => {
-                        let s = &kn.net.sensors()[idx];
-                        let delivered = tel.reconcile(
-                            s.id,
-                            s.capacity_j,
-                            s.consumption_w,
-                            s.measured_residual_j(),
-                            planned,
-                            target_frac * s.capacity_j,
-                            rt,
-                            tracing,
-                            &mut kn.staged,
-                        );
-                        kn.net.sensors_mut()[idx].recharge_by(delivered);
-                    }
-                }
+                kn.land_recharge(idx, planned, rt);
                 assigned[idx] = false;
             }
         }

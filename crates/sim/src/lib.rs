@@ -12,7 +12,10 @@
 //! Both simulators run on one kernel that owns the network, the
 //! optional injection layers (charger faults, request channel,
 //! telemetry, topology churn, charger energy), the service ledger,
-//! dead-time accounting and the trace; they differ only in their
+//! dead-time accounting and the trace. Draining and dead-time
+//! accounting are internal to that kernel: one pass over the sensors
+//! per event drains them, accounts dead time and finds the next
+//! request-threshold crossing. The simulators differ only in their
 //! dispatch policy (documented in `DESIGN.md` §19):
 //!
 //! - [`Simulation`], the round barrier behind the paper's per-round
@@ -68,64 +71,3 @@ pub use report::{RoundStats, SimReport};
 pub use snapshot::{Snapshot, SnapshotError};
 pub use telemetry::{EnergyEstimator, TelemetryModel};
 pub use trace::{IngressRejectReason, Trace, TraceEvent};
-
-/// Advances every sensor of `sensors` by `dt` seconds of drain and adds
-/// the dead time incurred during the interval to `dead_acc`.
-///
-/// Exposed for tests and for custom warm-up logic; the simulators use
-/// it internally.
-pub fn drain_with_dead_accounting(
-    sensors: &mut [wrsn_net::Sensor],
-    dt: f64,
-    dead_acc: &mut [f64],
-) {
-    debug_assert!(dt >= 0.0);
-    for (s, dead) in sensors.iter_mut().zip(dead_acc.iter_mut()) {
-        if s.consumption_w <= 0.0 {
-            continue;
-        }
-        let life = s.residual_j / s.consumption_w;
-        if life >= dt {
-            s.residual_j -= s.consumption_w * dt;
-        } else {
-            *dead += dt - life;
-            s.residual_j = 0.0;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use wrsn_geom::Point;
-    use wrsn_net::{Sensor, SensorId};
-
-    #[test]
-    fn drain_accounts_partial_death() {
-        let mut s = Sensor::new(SensorId(0), Point::ORIGIN, 100.0, 0.0);
-        s.consumption_w = 1.0; // dies after 100 s
-        let mut dead = vec![0.0];
-        drain_with_dead_accounting(std::slice::from_mut(&mut s), 250.0, &mut dead);
-        assert_eq!(s.residual_j, 0.0);
-        assert!((dead[0] - 150.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn drain_leaves_live_sensor_alive() {
-        let mut s = Sensor::new(SensorId(0), Point::ORIGIN, 100.0, 0.0);
-        s.consumption_w = 1.0;
-        let mut dead = vec![0.0];
-        drain_with_dead_accounting(std::slice::from_mut(&mut s), 40.0, &mut dead);
-        assert_eq!(s.residual_j, 60.0);
-        assert_eq!(dead[0], 0.0);
-    }
-
-    #[test]
-    fn zero_consumption_never_dies() {
-        let mut s = Sensor::new(SensorId(0), Point::ORIGIN, 100.0, 0.0);
-        let mut dead = vec![0.0];
-        drain_with_dead_accounting(std::slice::from_mut(&mut s), 1e9, &mut dead);
-        assert_eq!(s.residual_j, 100.0);
-        assert_eq!(dead[0], 0.0);
-    }
-}

@@ -140,6 +140,18 @@ fn f64_of(v: &Value, what: &'static str) -> Result<f64, SnapshotError> {
     v.as_u64().map(f64::from_bits).ok_or(SnapshotError::Corrupt(what))
 }
 
+/// A sensor's residual, rate or dead time: refused unless finite and
+/// not negative (`-0.0` passes), so no NaN or infinity reaches the
+/// kernel.
+fn amount_of(v: &Value, what: &'static str) -> Result<f64, SnapshotError> {
+    let x = f64_of(v, what)?;
+    if x.is_finite() && x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(SnapshotError::Corrupt(what))
+    }
+}
+
 fn usize_of(v: &Value, what: &'static str) -> Result<usize, SnapshotError> {
     v.as_u64().and_then(|u| usize::try_from(u).ok()).ok_or(SnapshotError::Corrupt(what))
 }
@@ -603,7 +615,7 @@ impl Snapshot {
         let sensors = array(&v["sensors"], "sensors")?
             .iter()
             .map(|p| match array(p, "sensor pair")? {
-                [r, c] => Ok((f64_of(r, "sensor residual")?, f64_of(c, "sensor rate")?)),
+                [r, c] => Ok((amount_of(r, "sensor residual")?, amount_of(c, "sensor rate")?)),
                 _ => Err(SnapshotError::Corrupt("sensor pair")),
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -734,7 +746,10 @@ impl Snapshot {
             round: usize_of(&v["round"], "round")?,
             t: f64_of(&v["t"], "t")?,
             sensors,
-            dead: f64_vec(&v["dead"], "dead")?,
+            dead: array(&v["dead"], "dead")?
+                .iter()
+                .map(|d| amount_of(d, "dead"))
+                .collect::<Result<_, _>>()?,
             dead_since,
             ledger,
             deferral_count: array(&v["deferral_count"], "deferral_count")?
@@ -1377,6 +1392,31 @@ mod tests {
             Snapshot::from_json(&snap.to_json()).err(),
             Some(SnapshotError::Corrupt("inflight sensor"))
         );
+    }
+
+    #[test]
+    fn non_finite_or_negative_sensor_values_are_refused() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let mut residual = sample();
+            residual.sensors[0].0 = bad;
+            let mut rate = sample();
+            rate.sensors[1].1 = bad;
+            let mut dead = sample();
+            dead.dead[1] = bad;
+            for (snap, what) in
+                [(residual, "sensor residual"), (rate, "sensor rate"), (dead, "dead")]
+            {
+                assert_eq!(
+                    Snapshot::from_json(&snap.to_json()).err(),
+                    Some(SnapshotError::Corrupt(what)),
+                    "{what} = {bad}"
+                );
+            }
+        }
+        let mut zeros = sample();
+        zeros.sensors[0] = (-0.0, -0.0);
+        zeros.dead[0] = -0.0;
+        assert!(Snapshot::from_json(&zeros.to_json()).is_ok(), "-0.0 is not negative");
     }
 
     #[test]

@@ -418,20 +418,23 @@ fn full_digest(report: &SimReport) -> u64 {
     h
 }
 
-fn run_layered(layer: &str, seed: u64, sync: bool) -> u64 {
+/// Runs `cfg` on the layered network of `seed` with Appro.
+fn run_layered_config(cfg: SimConfig, seed: u64, sync: bool) -> SimReport {
     let planner = PlannerKind::all()[0].build(PlannerConfig::default());
     let net = NetworkBuilder::new(LAYERED_N)
         .seed(seed)
         .data_rate_bps(1_000.0, 50_000.0)
         .build();
-    let cfg = layered_config(layer, seed);
-    let report = if sync {
+    if sync {
         Simulation::new(net, cfg).expect("valid config").run(planner.as_ref(), K)
     } else {
         AsyncSimulation::new(net, cfg).expect("valid config").run(planner.as_ref(), K)
     }
-    .expect("planners are complete");
-    full_digest(&report)
+    .expect("planners are complete")
+}
+
+fn run_layered(layer: &str, seed: u64, sync: bool) -> u64 {
+    full_digest(&run_layered_config(layered_config(layer, seed), seed, sync))
 }
 
 /// Pinned digests of runs with active layers, Appro, n = 120, 30 days:
@@ -459,6 +462,48 @@ fn layered_reports_are_bit_identical_to_baseline() {
                 got, EXPECTED_LAYERED[r][l],
                 "layered digest drifted: {} {layer} seed {seed} (got {got:#018x})",
                 if sync { "sync" } else { "async" },
+            );
+        }
+    }
+}
+
+/// Seeds whose stacked fault-and-energy runs break a charger down and
+/// empty a tank under both policies.
+const STACKED_SEEDS: [u64; 2] = [5, 203];
+
+/// `layered_config`'s fault and energy values together, the trace on
+/// and uncapped: the runs where a breakdown meets a finite tank.
+fn stacked_config(seed: u64) -> SimConfig {
+    let mut cfg = layered_config("fault", seed);
+    cfg.energy = layered_config("energy", seed).energy;
+    cfg
+}
+
+/// Pinned digests of the stacked runs, Appro, n = 120, 30 days: row per
+/// policy (sync, async), column per [`STACKED_SEEDS`] entry.
+const EXPECTED_STACKED: [[u64; 2]; 2] = [
+    [0x26ae5d86d4540dd2, 0x3217cabeca32beba],
+    [0x32eca9fa7a270d0d, 0x6f279b6aefe10909],
+];
+
+/// Both policies, fault and energy stacked: every run has a breakdown
+/// and an exhaustion, and keeps its whole report and trace.
+#[test]
+fn stacked_fault_and_energy_reports_are_bit_identical_to_baseline() {
+    for (r, sync) in [true, false].into_iter().enumerate() {
+        let policy = if sync { "sync" } else { "async" };
+        for (s, &seed) in STACKED_SEEDS.iter().enumerate() {
+            let report = run_layered_config(stacked_config(seed), seed, sync);
+            assert!(
+                report.charger_failures >= 1 && report.charger_exhaustions >= 1,
+                "{policy} seed {seed}: {} breakdowns, {} exhaustions",
+                report.charger_failures,
+                report.charger_exhaustions,
+            );
+            let got = full_digest(&report);
+            assert_eq!(
+                got, EXPECTED_STACKED[r][s],
+                "stacked digest drifted: {policy} seed {seed} (got {got:#018x})",
             );
         }
     }
@@ -677,6 +722,18 @@ fn print_digests() {
                 .collect();
             println!("    [{}],", row.join(", "));
         }
+    }
+    println!("];");
+    println!("const EXPECTED_STACKED: [[u64; 2]; 2] = [");
+    for sync in [true, false] {
+        let row: Vec<String> = STACKED_SEEDS
+            .iter()
+            .map(|&seed| {
+                let report = run_layered_config(stacked_config(seed), seed, sync);
+                format!("{:#018x}", full_digest(&report))
+            })
+            .collect();
+        println!("    [{}],", row.join(", "));
     }
     println!("];");
     println!("const EXPECTED_APPRO_SHARD: u64 = {:#018x};", appro_shard_digest());

@@ -432,129 +432,10 @@ impl Trace {
         self.dropped
     }
 
-    /// The configured capacity limit (0 = unbounded).
-    pub fn capacity_limit(&self) -> usize {
-        self.capacity
-    }
-
-    /// Count of death events.
-    pub fn deaths(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::SensorDied { .. })).count()
-    }
-
-    /// Count of recharge events.
-    pub fn recharges(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::SensorRecharged { .. })).count()
-    }
-
-    /// Count of charger breakdown events.
-    pub fn charger_failures(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::ChargerFailed { .. })).count()
-    }
-
-    /// Count of recovery dispatches.
-    pub fn recoveries(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::RecoveryDispatched { .. })).count()
-    }
-
-    /// Count of request transmissions dropped by the channel.
-    pub fn lost_requests(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::RequestLost { .. })).count()
-    }
-
-    /// Count of requests shed by admission control.
-    pub fn sheds(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::RequestShed { .. })).count()
-    }
-
-    /// Count of starvation escalations.
-    pub fn escalations(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::RequestEscalated { .. })).count()
-    }
-
-    /// Count of arrival-time telemetry reconciliations.
-    pub fn telemetry_corrections(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::TelemetryCorrected { .. })).count()
-    }
-
-    /// Count of arrival measurements outside the estimator's interval.
-    pub fn estimate_misses(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::EstimateMiss { .. })).count()
-    }
-
-    /// Count of deaths the telemetry estimator failed to anticipate.
-    pub fn undetected_deaths(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::SensorDiedUndetected { .. })).count()
-    }
-
-    /// Count of permanent hardware failures injected by the churn layer.
-    pub fn sensor_failures(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::SensorFailed { .. })).count()
-    }
-
-    /// Count of routing repairs.
-    pub fn routing_repairs(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::RoutingRepaired { .. })).count()
-    }
-
-    /// Count of cascade (energy-hole) alarms.
-    pub fn cascades(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::CascadeDetected { .. })).count()
-    }
-
-    /// Count of survivors forced onto direct long links by a repair.
-    pub fn partitions(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::SensorPartitioned { .. })).count()
-    }
-
-    /// Count of mid-tour charger battery exhaustions.
-    pub fn exhaustions(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::ChargerExhausted { .. })).count()
-    }
-
-    /// Count of completed depot recharges (detours and rescue refills).
-    pub fn depot_recharges(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::DepotRecharge { .. })).count()
-    }
-
-    /// Count of rescue tows dispatched for stranded chargers.
-    pub fn rescues(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::RescueDispatched { .. })).count()
-    }
-
-    /// Count of planning-watchdog aborts (serve mode).
-    pub fn watchdog_trips(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::WatchdogTripped { .. })).count()
-    }
-
-    /// Count of durability-degraded mode entries (serve mode).
-    pub fn durability_losses(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::DurabilityLost { .. })).count()
-    }
-
-    /// Count of degraded-mode re-arms (serve mode).
-    pub fn durability_restores(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::DurabilityRestored { .. })).count()
-    }
-
-    /// Count of ingress-guard rejections (serve mode).
-    pub fn rejections(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::RequestRejected { .. })).count()
-    }
-
-    /// Count of quarantine entries (serve mode).
-    pub fn quarantines(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::SensorQuarantined { .. })).count()
-    }
-
-    /// Count of quarantine-to-parole transitions (serve mode).
-    pub fn paroles(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::SensorParoled { .. })).count()
-    }
-
-    /// Count of ingress connections ended by a read error (serve mode).
-    pub fn ingress_disconnects(&self) -> usize {
-        self.iter().filter(|e| matches!(e, TraceEvent::IngressDisconnected { .. })).count()
+    /// Number of retained events `is` selects, e.g.
+    /// `trace.count(|e| matches!(e, TraceEvent::ChargerFailed { .. }))`.
+    pub fn count(&self, is: impl Fn(&TraceEvent) -> bool) -> usize {
+        self.iter().filter(|e| is(e)).count()
     }
 
     /// Rebuilds a trace from checkpointed parts (snapshot restore).
@@ -564,11 +445,6 @@ impl Trace {
         events: Vec<TraceEvent>,
     ) -> Self {
         Trace { events: events.into(), capacity, dropped }
-    }
-
-    /// Events within the half-open time window `[from_s, to_s)`.
-    pub fn window(&self, from_s: f64, to_s: f64) -> impl Iterator<Item = &TraceEvent> {
-        self.iter().filter(move |e| e.at_s() >= from_s && e.at_s() < to_s)
     }
 }
 
@@ -589,20 +465,9 @@ mod tests {
         });
         t.push(TraceEvent::RoundCompleted { at_s: 10.0, round: 0, longest_delay_s: 10.0 });
         assert_eq!(t.len(), 4);
-        assert_eq!(t.deaths(), 1);
-        assert_eq!(t.recharges(), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::SensorDied { .. })), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::SensorRecharged { .. })), 1);
         assert_eq!(t.dropped(), 0);
-    }
-
-    #[test]
-    fn window_filters_by_time() {
-        let mut t = Trace::default();
-        for i in 0..10 {
-            t.push(TraceEvent::SensorDied { at_s: i as f64, sensor: SensorId(i) });
-        }
-        assert_eq!(t.window(2.0, 5.0).count(), 3);
-        assert_eq!(t.window(0.0, 100.0).count(), 10);
-        assert_eq!(t.window(100.0, 200.0).count(), 0);
     }
 
     #[test]
@@ -623,7 +488,6 @@ mod tests {
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
-        assert_eq!(t.capacity_limit(), 3);
         let times: Vec<f64> = t.iter().map(TraceEvent::at_s).collect();
         assert_eq!(times, vec![2.0, 3.0, 4.0]); // newest retained
     }
@@ -646,9 +510,9 @@ mod tests {
         t.push(TraceEvent::DuplicateDropped { at_s: 3.0, sensor: SensorId(1) });
         t.push(TraceEvent::RequestShed { at_s: 4.0, sensor: SensorId(2), deferrals: 1 });
         t.push(TraceEvent::RequestEscalated { at_s: 5.0, sensor: SensorId(2), deferrals: 3 });
-        assert_eq!(t.lost_requests(), 2);
-        assert_eq!(t.sheds(), 1);
-        assert_eq!(t.escalations(), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::RequestLost { .. })), 2);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::RequestShed { .. })), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::RequestEscalated { .. })), 1);
         assert_eq!(t.iter().last().unwrap().at_s(), 5.0);
     }
 
@@ -659,9 +523,9 @@ mod tests {
         t.push(TraceEvent::EstimateMiss { at_s: 1.0, sensor: SensorId(0), error_j: 12.5 });
         t.push(TraceEvent::TelemetryCorrected { at_s: 2.0, sensor: SensorId(1), error_j: -3.0 });
         t.push(TraceEvent::SensorDiedUndetected { at_s: 3.0, sensor: SensorId(2), error_j: 40.0 });
-        assert_eq!(t.telemetry_corrections(), 2);
-        assert_eq!(t.estimate_misses(), 1);
-        assert_eq!(t.undetected_deaths(), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::TelemetryCorrected { .. })), 2);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::EstimateMiss { .. })), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::SensorDiedUndetected { .. })), 1);
         assert_eq!(t.iter().last().unwrap().at_s(), 3.0);
     }
 
@@ -671,11 +535,7 @@ mod tests {
         for i in 0..4 {
             t.push(TraceEvent::SensorDied { at_s: i as f64, sensor: SensorId(i) });
         }
-        let rebuilt = Trace::from_parts(
-            t.capacity_limit(),
-            t.dropped(),
-            t.iter().copied().collect(),
-        );
+        let rebuilt = Trace::from_parts(2, t.dropped(), t.iter().copied().collect());
         assert_eq!(rebuilt, t);
     }
 
@@ -687,10 +547,10 @@ mod tests {
         t.push(TraceEvent::CascadeDetected { at_s: 1.0, sensor: SensorId(4), factor: 2.5 });
         t.push(TraceEvent::SensorPartitioned { at_s: 1.0, sensor: SensorId(9) });
         t.push(TraceEvent::RoutingRepaired { at_s: 2.0, changed: 1 });
-        assert_eq!(t.sensor_failures(), 1);
-        assert_eq!(t.routing_repairs(), 2);
-        assert_eq!(t.cascades(), 1);
-        assert_eq!(t.partitions(), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::SensorFailed { .. })), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::RoutingRepaired { .. })), 2);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::CascadeDetected { .. })), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::SensorPartitioned { .. })), 1);
         assert_eq!(t.iter().last().unwrap().at_s(), 2.0);
     }
 
@@ -701,9 +561,9 @@ mod tests {
         t.push(TraceEvent::ChargerExhausted { at_s: 2.0, charger: 1 });
         t.push(TraceEvent::RescueDispatched { at_s: 3.0, rescuer: 0, stranded: 1 });
         t.push(TraceEvent::DepotRecharge { at_s: 4.0, charger: 1, recharged_j: 1_000.0 });
-        assert_eq!(t.exhaustions(), 1);
-        assert_eq!(t.depot_recharges(), 2);
-        assert_eq!(t.rescues(), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::ChargerExhausted { .. })), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::DepotRecharge { .. })), 2);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::RescueDispatched { .. })), 1);
         assert_eq!(t.iter().last().unwrap().at_s(), 4.0);
     }
 
@@ -713,8 +573,8 @@ mod tests {
         t.push(TraceEvent::DurabilityLost { at_s: 1.0, tick: 10 });
         t.push(TraceEvent::DurabilityRestored { at_s: 2.5, tick: 25 });
         t.push(TraceEvent::DurabilityLost { at_s: 3.0, tick: 30 });
-        assert_eq!(t.durability_losses(), 2);
-        assert_eq!(t.durability_restores(), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::DurabilityLost { .. })), 2);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::DurabilityRestored { .. })), 1);
         assert_eq!(t.iter().last().unwrap().at_s(), 3.0);
     }
 
@@ -734,10 +594,10 @@ mod tests {
         t.push(TraceEvent::SensorQuarantined { at_s: 2.0, sensor: SensorId(3), until_s: 62.0 });
         t.push(TraceEvent::SensorParoled { at_s: 62.5, sensor: SensorId(3) });
         t.push(TraceEvent::IngressDisconnected { at_s: 70.0 });
-        assert_eq!(t.rejections(), 2);
-        assert_eq!(t.quarantines(), 1);
-        assert_eq!(t.paroles(), 1);
-        assert_eq!(t.ingress_disconnects(), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::RequestRejected { .. })), 2);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::SensorQuarantined { .. })), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::SensorParoled { .. })), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::IngressDisconnected { .. })), 1);
         assert_eq!(t.iter().last().unwrap().at_s(), 70.0);
         assert_eq!(IngressRejectReason::Replayed.name(), "replayed");
     }
@@ -748,7 +608,7 @@ mod tests {
         t.push(TraceEvent::ChargerFailed { at_s: 1.0, charger: 0 });
         t.push(TraceEvent::ChargerFailed { at_s: 2.0, charger: 1 });
         t.push(TraceEvent::RecoveryDispatched { at_s: 3.0, stranded: 4, chargers: 1 });
-        assert_eq!(t.charger_failures(), 2);
-        assert_eq!(t.recoveries(), 1);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::ChargerFailed { .. })), 2);
+        assert_eq!(t.count(|e| matches!(e, TraceEvent::RecoveryDispatched { .. })), 1);
     }
 }

@@ -797,10 +797,10 @@ pub fn bounds(args: &Args) -> CliResult {
     println!("  work lower bound:  {:.2} h", work / 3600.0);
     println!("  {} delay:      {:.2} h", kind.name(), delay / 3600.0);
     println!("  gap vs best bound: {:.2}x", delay / lb.max(1e-9));
-    println!(
-        "  (Theorem 1 guarantees ≤ {:.0}x; smaller is better)",
-        40.0 * std::f64::consts::PI + 1.0
-    );
+    match bounds::rho(&problem) {
+        Some(rho) => println!("  (Theorem 1 guarantees ≤ {rho:.0}x; smaller is better)"),
+        None => println!("  (Theorem 1 gives no finite ratio for this instance)"),
+    }
     Ok(())
 }
 

@@ -519,6 +519,16 @@ fn bounds_reports_ratio() {
 }
 
 #[test]
+fn bounds_states_theorem_one_for_the_instance() {
+    // 33 requests with charge durations of 4,424–5,400 s, so
+    // ρ = 40π · 5400/4424 + 1 ≈ 154.4, not the 127 of equal durations.
+    let out = wrsn().args(["bounds", "--n", "400"]).output().expect("binary runs");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("Theorem 1 guarantees ≤ 154x"), "{text}");
+}
+
+#[test]
 fn bad_value_is_a_clean_error() {
     let out = wrsn().args(["plan", "--n", "many"]).output().expect("binary runs");
     assert!(!out.status.success());

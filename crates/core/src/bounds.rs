@@ -12,6 +12,8 @@
 //!   work, split across at most `K` chargers at best.
 //! - [`lower_bound`]: the max of the two.
 //!
+//! [`rho`] states Theorem 1's ratio for the instance at hand.
+//!
 //! Every bound is valid for *any* feasible schedule, including the
 //! optimum, so `schedule.longest_delay_s() / lower_bound(p)` is an upper
 //! estimate of the true approximation ratio on that instance.
@@ -77,6 +79,23 @@ pub fn work_lower_bound(problem: &ChargingProblem) -> f64 {
 /// The tightest of the implemented lower bounds.
 pub fn lower_bound(problem: &ChargingProblem) -> f64 {
     reach_lower_bound(problem).max(work_lower_bound(problem))
+}
+
+/// Theorem 1's approximation ratio on `problem`,
+/// `ρ = 40π · τ_max/τ_min + 1`, from the instance's shortest and longest
+/// charge durations `t_v`: Appro's longest delay is at most `ρ` times
+/// the optimum. Eq. 2's `τ(v)` has the same maximum and a minimum at
+/// least as large, so this `ρ` is never smaller than the paper's under
+/// either reading, and equals `40π + 1` only when every duration is the
+/// same.
+///
+/// `None` for an empty instance or a zero charge duration, where the
+/// theorem gives no finite ratio.
+pub fn rho(problem: &ChargingProblem) -> Option<f64> {
+    let durations = || problem.targets().iter().map(|t| t.charge_duration_s);
+    let max = durations().fold(f64::NEG_INFINITY, f64::max);
+    let min = durations().fold(f64::INFINITY, f64::min);
+    (!problem.is_empty() && min > 0.0).then(|| 40.0 * std::f64::consts::PI * max / min + 1.0)
 }
 
 /// Targets no charger of the fleet can ever serve under the given
@@ -199,6 +218,16 @@ mod tests {
         assert_eq!(reach_lower_bound(&p), 0.0);
         assert_eq!(work_lower_bound(&p), 0.0);
         assert_eq!(lower_bound(&p), 0.0);
+    }
+
+    #[test]
+    fn rho_scales_with_the_duration_spread() {
+        let uniform = 40.0 * std::f64::consts::PI + 1.0;
+        assert_eq!(rho(&problem(&[(1.0, 1.0, 60.0), (9.0, 9.0, 60.0)], 1)), Some(uniform));
+        let spread = rho(&problem(&[(1.0, 1.0, 30.0), (9.0, 9.0, 60.0)], 1)).unwrap();
+        assert!((spread - (2.0 * (uniform - 1.0) + 1.0)).abs() < 1e-9);
+        assert_eq!(rho(&problem(&[], 1)), None);
+        assert_eq!(rho(&problem(&[(1.0, 1.0, 0.0), (9.0, 9.0, 60.0)], 1)), None);
     }
 
     #[test]

@@ -581,8 +581,9 @@ const EXPECTED_INERT_CHAOS: u64 = 0x0933_bdba_b88c_d428;
 /// same inertness contract from two directions at once: a default
 /// (inert) guard config must leave the engine's snapshot format and
 /// report untouched, and a disarmed adversary — non-default seed
-/// included — must draw zero RNG values, making the adversarial soak
-/// bit-identical to the plain honest soak it wraps.
+/// included — must draw zero RNG values, so `run_soak` with it is
+/// bit-identical to the same soak with the default adversary: the
+/// honest generator alone.
 #[test]
 fn inert_adversary_matches_pinned_serve_digest() {
     use std::sync::Arc;
@@ -636,6 +637,107 @@ fn inert_adversary_matches_pinned_serve_digest() {
 
 /// Pinned alongside [`EXPECTED_INERT_CHAOS`]; refresh the same way.
 const EXPECTED_INERT_ADVERSARY: u64 = 0xa5df_bfb6_8b18_d280;
+
+/// CI's serve-adversary soak — n = 120, K = 2, 50 ms ticks, 300 req/s
+/// for 20 service seconds with a drain, network seed 31, soak seed 1,
+/// 20% hostile — with a token bucket tight enough (3 tokens/s, burst 6)
+/// that every guard defense fires.
+fn armed_adversary_soak() -> wrsn_serve::SoakOutcome {
+    use std::sync::Arc;
+    use wrsn_serve::soak::run_soak;
+    use wrsn_serve::{
+        AdversaryConfig, GuardConfig, PlannerFactory, ServeConfig, ServeEngine, SoakConfig,
+    };
+
+    let factory: Arc<PlannerFactory> =
+        Arc::new(|| Box::new(wrsn_core::GreedyTour) as Box<dyn wrsn_core::Planner>);
+    let guard = GuardConfig {
+        rate_per_s: 3.0,
+        burst: 6.0,
+        replay_window_s: 2.0,
+        replay_limit: 2,
+        deficit_margin: 1.0,
+        quarantine_strikes: 3,
+        quarantine_s: 4.0,
+        parole_s: 2.0,
+    };
+    let cfg = ServeConfig { k: 2, tick_s: 0.05, guard, ..ServeConfig::default() };
+    let engine = ServeEngine::new(NetworkBuilder::new(120).seed(31).build(), cfg, factory);
+    let soak = SoakConfig {
+        rate_per_s: 300.0,
+        duration_s: 20.0,
+        drain: true,
+        adversary: AdversaryConfig {
+            seed: 17,
+            hostile_fraction: 0.2,
+            compromised: 4,
+            replay_burst: 6,
+            oversize_bytes: 8_192,
+        },
+        max_line_bytes: 4_096,
+        ..SoakConfig::default()
+    };
+    run_soak(engine.unwrap(), &soak, None).unwrap()
+}
+
+/// Folds the report JSON (every ledger and guard counter, both latency
+/// summaries), the honest tally and the attack counters. Wall time and
+/// the achieved rate are left out: they are not deterministic.
+fn soak_digest(out: &wrsn_serve::SoakOutcome) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a(&mut h, serde_json::to_string(&out.report.to_json()).as_bytes());
+    let (honest, attacks) = (out.honest, out.attacks);
+    for x in [
+        out.offered,
+        out.hostile_lines,
+        out.malformed,
+        honest.submitted,
+        honest.admitted,
+        honest.duplicates,
+        honest.rejected,
+        honest.refused_quarantined,
+        honest.refused_degraded,
+        honest.invalid,
+        attacks.spoofed,
+        attacks.lies,
+        attacks.replayed_lines,
+        attacks.junk,
+        attacks.oversize,
+        u64::from(out.honest_ledger_reconciles),
+    ] {
+        fnv1a(&mut h, &x.to_le_bytes());
+    }
+    h
+}
+
+/// The armed guard under the armed adversary: every decision the guard
+/// makes — which request it rejects and why, each quarantine, parole
+/// and clear — lands in the pinned digest, and the soak reaches every
+/// one of those branches.
+#[test]
+fn armed_adversary_matches_pinned_serve_digest() {
+    let out = armed_adversary_soak();
+    assert!(out.honest_ledger_reconciles, "the honest stream must reconcile under attack");
+    let g = out.report.guard;
+    for (count, what) in [
+        (g.rejected_rate_limited, "rate-limited rejection"),
+        (g.rejected_replayed, "replayed rejection"),
+        (g.rejected_implausible, "implausible rejection"),
+        (g.quarantines, "quarantine"),
+        (g.paroles, "parole"),
+        (g.requarantines, "re-quarantine"),
+        (g.cleared, "clear"),
+        (out.malformed, "malformed line"),
+        (out.report.ingress_oversize, "oversize line"),
+    ] {
+        assert!(count > 0, "the soak must reach every guard branch: no {what}");
+    }
+    let got = soak_digest(&out);
+    assert_eq!(got, EXPECTED_ARMED_ADVERSARY, "armed serve digest drifted (got {got:#018x})");
+}
+
+/// Pinned by `print_digests`.
+const EXPECTED_ARMED_ADVERSARY: u64 = 0x528c_ac7b_a715_f3be;
 
 /// Folds every sojourn's target, start and duration bits, tour by tour
 /// (each tour prefixed by its length), into one order-sensitive hash.
@@ -738,4 +840,6 @@ fn print_digests() {
     println!("];");
     println!("const EXPECTED_APPRO_SHARD: u64 = {:#018x};", appro_shard_digest());
     println!("const EXPECTED_KMINMAX_FIG3: u64 = {:#018x};", kminmax_fig3_digest());
+    let armed = soak_digest(&armed_adversary_soak());
+    println!("const EXPECTED_ARMED_ADVERSARY: u64 = {armed:#018x};");
 }

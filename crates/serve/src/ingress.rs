@@ -57,7 +57,7 @@ pub fn read_bounded_line<R: BufRead>(reader: &mut R, max_bytes: usize) -> Bounde
             return if buf.is_empty() {
                 BoundedLine::Eof
             } else {
-                BoundedLine::Line(String::from_utf8_lossy(&buf).into_owned())
+                BoundedLine::Line(into_line(buf))
             };
         }
         match chunk.iter().position(|&b| b == b'\n') {
@@ -70,7 +70,7 @@ pub fn read_bounded_line<R: BufRead>(reader: &mut R, max_bytes: usize) -> Bounde
                 return if oversize {
                     BoundedLine::Oversize
                 } else {
-                    BoundedLine::Line(String::from_utf8_lossy(&buf).into_owned())
+                    BoundedLine::Line(into_line(buf))
                 };
             }
             None => {
@@ -84,6 +84,12 @@ pub fn read_bounded_line<R: BufRead>(reader: &mut R, max_bytes: usize) -> Bounde
             }
         }
     }
+}
+
+/// Moves a valid UTF-8 buffer into the line; only invalid bytes pay
+/// for the lossy copy.
+fn into_line(buf: Vec<u8>) -> String {
+    String::from_utf8(buf).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Skips the remainder of an oversize line in constant memory.

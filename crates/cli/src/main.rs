@@ -120,7 +120,7 @@ SIMULATE OPTIONS:
                            recovery plan (always on in debug builds)
 
 SERVE OPTIONS:
-    Requests arrive as JSON lines ({\"sensor\": 17, \"deficit\": 120.5}) on
+    Requests arrive as JSON lines ({\"sensor\": 17, \"deficit_j\": 120.5}) on
     stdin (default) or a unix socket; SIGINT/SIGTERM shuts down gracefully
     with a final snapshot. State (WAL + snapshot) lives under
     target/wrsn-results/serve/ unless --state-dir overrides it.

@@ -595,7 +595,7 @@ fn serve_stdin_daemon_admits_and_shuts_down_on_eof() {
         .expect("binary runs");
     {
         let stdin = child.stdin.as_mut().expect("piped stdin");
-        writeln!(stdin, "{{\"sensor\": 3, \"deficit\": 12.5}}").unwrap();
+        writeln!(stdin, "{{\"sensor\": 3, \"deficit_j\": 12.5}}").unwrap();
         writeln!(stdin, "{{\"sensor\": 9}}").unwrap();
         writeln!(stdin, "not json at all").unwrap();
     }

@@ -1,7 +1,7 @@
 //! The real-I/O shell around [`ServeEngine`]: ingress readers, the
 //! tick loop, and graceful shutdown.
 //!
-//! Requests arrive as JSON lines (`{"sensor": 17, "deficit": 120.5}`)
+//! Requests arrive as JSON lines (`{"sensor": 17, "deficit_j": 120.5}`)
 //! over stdin or a unix domain socket. Reader threads apply the
 //! resource bounds — line length, read deadline, connection cap — and
 //! forward typed [`IngressEvent`]s over a channel; the single-threaded

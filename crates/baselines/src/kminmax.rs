@@ -7,7 +7,7 @@
 //! without multi-node charging, so it must visit and individually charge
 //! every sensor.
 
-use wrsn_algo::ktour::min_max_ktours_with_matrix;
+use wrsn_algo::ktour::min_max_ktours_extended;
 use wrsn_core::{ChargingProblem, PlanError, Planner, PlannerConfig, Schedule};
 
 /// The K-minMax baseline planner. See the [crate docs](crate).
@@ -34,11 +34,10 @@ impl Planner for KMinMax {
             return Ok(Schedule::idle(k));
         }
         let all: Vec<usize> = (0..problem.len()).collect();
-        let dist = problem.context().travel_time_matrix_for(&all)?;
-        let depot = problem.depot_travel_vector();
+        let (ext, _) = problem.context().extended_time_matrix(&all)?;
         let service: Vec<f64> =
             (0..problem.len()).map(|i| problem.charge_duration(i)).collect();
-        let sol = min_max_ktours_with_matrix(&dist, &depot, &service, k, self.config.tsp_passes);
+        let sol = min_max_ktours_extended(&ext, &service, k, self.config.tsp_passes);
         let stops: Vec<Vec<(usize, f64)>> = sol
             .tours
             .into_iter()

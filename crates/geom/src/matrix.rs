@@ -4,7 +4,10 @@
 //! min–max tour splitter, the planners, the simulators — consumes
 //! pairwise distances. A tour kernel reads the same pairs many times, so
 //! [`DistanceMatrix`] computes each entry once into a flat row-major
-//! table.
+//! table. A kernel's table with the depot appended as the last index is
+//! filled the same way, in one [`DistanceMatrix::from_fn`] pass;
+//! [`VirtualNodeMetric`] is that layout as a borrowed view over a table
+//! without the depot.
 //!
 //! [`Metric`] is the index-based distance abstraction the algorithm
 //! crate's cores are generic over: a nested `Vec<Vec<f64>>`, a slice of
@@ -133,21 +136,6 @@ impl DistanceMatrix {
         DistanceMatrix { n, data }
     }
 
-    /// Extends the matrix with one virtual node whose distance to
-    /// existing node `i` is `extra[i]` (and `0` to itself). The virtual
-    /// node gets the **last** index `len()`.
-    ///
-    /// This is the shared spelling of "append the depot as a virtual
-    /// TSP city" used by the tour splitter and the planners: a flat copy
-    /// of the [`VirtualNodeMetric`] view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `extra.len() != self.len()`.
-    pub fn with_virtual_node(&self, extra: &[f64]) -> DistanceMatrix {
-        DistanceMatrix::from_metric(&VirtualNodeMetric::new(self, extra))
-    }
-
     /// Row `i` as a slice (distances from `i` to every node).
     pub fn row(&self, i: usize) -> &[f64] {
         &self.data[i * self.n..(i + 1) * self.n]
@@ -166,11 +154,11 @@ impl Metric for DistanceMatrix {
 }
 
 /// A borrowed [`Metric`] view appending one virtual node (index
-/// `inner.len()`) whose distance to node `i` is `extra[i]` and `0` to
-/// itself — the same values and index layout as
-/// [`DistanceMatrix::with_virtual_node`], without copying the base
-/// table. Lets the "depot as virtual TSP city" spelling work over any
-/// metric, dense or on-demand.
+/// `inner.len()`) whose distance to node `i` is `extra[i]` and `+0.0` to
+/// itself, without copying the base table: the "depot as virtual TSP
+/// city" layout over any metric, dense or on-demand. A flat copy of it
+/// ([`DistanceMatrix::from_metric`]) is the layout the tour kernel's
+/// depot-extended tables use.
 #[derive(Clone, Copy, Debug)]
 pub struct VirtualNodeMetric<'a, M: ?Sized> {
     inner: &'a M,
@@ -304,7 +292,7 @@ mod tests {
         let pts = random_points(11, 6);
         let m = DistanceMatrix::from_points(&pts);
         let extra: Vec<f64> = (0..6).map(|i| i as f64 + 0.5).collect();
-        let ext = m.with_virtual_node(&extra);
+        let ext = VirtualNodeMetric::new(&m, &extra);
         assert_eq!(Metric::len(&ext), 7);
         for (i, &d) in extra.iter().enumerate() {
             assert_eq!(ext.at(i, 6), d);
@@ -313,7 +301,7 @@ mod tests {
                 assert_eq!(ext.at(i, j).to_bits(), m.at(i, j).to_bits());
             }
         }
-        assert_eq!(ext.at(6, 6), 0.0);
+        assert_eq!(ext.at(6, 6).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -347,21 +335,6 @@ mod tests {
         // The assert fires before the (DENSE_HARD_LIMIT + 1)² table is
         // allocated; only the 1 MiB point list exists.
         let _ = DistanceMatrix::from_points(&vec![Point::ORIGIN; DENSE_HARD_LIMIT + 1]);
-    }
-
-    #[test]
-    fn virtual_node_view_matches_materialized_extension() {
-        let pts = random_points(17, 8);
-        let m = DistanceMatrix::from_points(&pts);
-        let extra: Vec<f64> = (0..8).map(|i| 1.5 * i as f64 + 0.25).collect();
-        let owned = m.with_virtual_node(&extra);
-        let view = VirtualNodeMetric::new(&m, &extra);
-        assert_eq!(Metric::len(&view), Metric::len(&owned));
-        for i in 0..9 {
-            for j in 0..9 {
-                assert_eq!(view.at(i, j).to_bits(), owned.at(i, j).to_bits(), "({i},{j})");
-            }
-        }
     }
 
     #[test]

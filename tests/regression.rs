@@ -509,6 +509,33 @@ fn stacked_fault_and_energy_reports_are_bit_identical_to_baseline() {
     }
 }
 
+/// Three years of the pipelined policy with Appro, K = 2, on 400
+/// sensors (seed 3, 1–50 kb/s), the config otherwise default: over 20k
+/// dispatches, each charger on its own, so the report pins the
+/// simulator's drain and crossing arithmetic over a long run.
+fn pipelined_years_report() -> SimReport {
+    let net = NetworkBuilder::new(400).seed(3).data_rate_bps(1_000.0, 50_000.0).build();
+    let mut cfg = SimConfig::default();
+    cfg.horizon_s *= 3.0;
+    let planner = PlannerKind::all()[0].build(PlannerConfig::default());
+    AsyncSimulation::new(net, cfg)
+        .expect("valid config")
+        .run(planner.as_ref(), K)
+        .expect("planners are complete")
+}
+
+/// Pinned by `print_digests`.
+const EXPECTED_PIPELINED_YEARS: u64 = 0x9165_1584_8d2c_be0f;
+
+/// The pipelined policy keeps its whole report over three years.
+#[test]
+fn pipelined_years_are_bit_identical_to_baseline() {
+    let report = pipelined_years_report();
+    assert!(report.rounds.len() > 20_000, "{} dispatches", report.rounds.len());
+    let got = full_digest(&report);
+    assert_eq!(got, EXPECTED_PIPELINED_YEARS, "pipelined digest drifted (got {got:#018x})");
+}
+
 /// A deterministic virtual-clock serve run with `chaos` attached (or no
 /// chaos layer at all): mixed traffic over 80 ticks with periodic
 /// snapshots, so every failpoint site (WAL append/sync, snapshot
@@ -908,6 +935,8 @@ fn print_digests() {
         println!("    [{}],", row.join(", "));
     }
     println!("];");
+    let pipelined = full_digest(&pipelined_years_report());
+    println!("const EXPECTED_PIPELINED_YEARS: u64 = {pipelined:#018x};");
     println!("const EXPECTED_APPRO_SHARD: u64 = {:#018x};", appro_shard_digest());
     println!("const EXPECTED_KMINMAX_FIG3: u64 = {:#018x};", kminmax_fig3_digest());
     println!("const EXPECTED_SHARDED_APPRO: u64 = {:#018x};", sharded_appro_digest().0);

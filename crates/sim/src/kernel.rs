@@ -10,11 +10,16 @@
 //! tour execution ([`Kernel::wear`] of a charger's operating life and
 //! [`Kernel::spend`] of its battery), draining with death notes, the
 //! layers' wake-up time, snapshot capture/restore and report assembly.
-//! One pass over the sensors per event drains them, accounts dead time
-//! and finds the next request-threshold crossing. A policy decides only
-//! *when* and *for whom* to plan and when a tour executes:
+//! One pass over the sensors per event drains them and accounts dead
+//! time; the next request-threshold crossing comes from [`Crossings`],
+//! an index of the instants at which the sensors above the threshold
+//! will cross it. A policy decides only *when* and *for whom* to plan
+//! and when a tour executes:
 //! [`crate::Simulation`] is the round barrier,
 //! [`crate::AsyncSimulation`] dispatches each charger on its own.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use wrsn_baselines::KEdf;
 use wrsn_core::bounds::AdmissionEstimator;
@@ -81,13 +86,14 @@ pub(crate) struct Kernel {
     ctx: std::sync::Arc<ProblemContext>,
     /// The simulation clock, seconds.
     pub t: f64,
-    /// The soonest request-threshold crossing from `t`, kept by the
-    /// drain pass so [`Kernel::wake`] need not scan (`INFINITY` when no
-    /// sensor will cross). `None` once a write the pass did not see may
-    /// have changed it: a churn step, [`Kernel::restore`] or a barrier
-    /// round's recharges ([`Kernel::forget_crossing`]). A pipelined
-    /// landing folds its sensor in instead ([`Kernel::land_recharge`]).
-    crossing: Option<f64>,
+    /// The request-threshold crossings, kept by [`Kernel::drain`] so
+    /// [`Kernel::wake`] need not scan. `None` once a write the index
+    /// did not see may have advanced a crossing: a churn step's failure
+    /// or repair, [`Kernel::restore`] or a barrier round's recharges
+    /// ([`Kernel::forget_crossing`]); the next drain rebuilds it. A
+    /// pipelined landing only delays its sensor's crossing, so it adds
+    /// the sensor instead ([`Kernel::land_recharge`]).
+    crossing: Option<Crossings>,
     /// The injection layers, each `None` while its model is inert (an
     /// inert layer draws no random values and leaves runs bit-identical).
     pub fault: Option<FaultState>,
@@ -179,9 +185,8 @@ impl Kernel {
     /// and escalates cascade-flagged survivors.
     pub fn churn_step(&mut self) {
         if let Some(cs) = self.churn.as_mut() {
-            // Repairs reroute consumption and failures refill batteries.
-            self.crossing = None;
-            self.ledger.failed_sensors += cs.step(
+            let repairs = cs.repairs;
+            let failed = cs.step(
                 &mut self.net,
                 self.t,
                 self.cfg.max_deferrals,
@@ -189,6 +194,12 @@ impl Kernel {
                 self.cfg.collect_trace,
                 &mut self.staged,
             );
+            // Repairs reroute consumption and failures refill batteries;
+            // a step that does neither writes no sensor state.
+            if failed > 0 || cs.repairs > repairs {
+                self.crossing = None;
+            }
+            self.ledger.failed_sensors += failed;
         }
     }
 
@@ -526,29 +537,29 @@ impl Kernel {
     }
 
     /// Drains every sensor for `dt` seconds from `self.t`, accounting
-    /// dead time; when noting deaths, traces them (sorted) first. The
-    /// same pass keeps the soonest request-threshold crossing after the
-    /// drain for [`Kernel::wake`]. The clock is the caller's to advance.
+    /// dead time; when noting deaths, traces them (sorted) first. Then
+    /// the crossings index finds the soonest request-threshold crossing
+    /// after the drain for [`Kernel::wake`]: from the few keys near the
+    /// least, or when the index was dropped, from a pass that rebuilds
+    /// it. The clock is the caller's to advance.
     pub fn drain(&mut self, dt: f64) {
         if self.note_deaths {
             note_deaths(self.net.sensors(), self.t, dt, &mut self.dead_since, &mut self.staged);
             self.flush(true);
         }
-        let fraction = self.cfg.request_fraction;
-        let mut next = f64::INFINITY;
         for (s, dead) in self.net.sensors_mut().iter_mut().zip(&mut self.dead) {
             drain_sensor(s, dt, dead);
-            if let Some(c) = s.time_to_fraction(fraction) {
-                if c < next {
-                    next = c;
-                }
-            }
         }
-        self.crossing = Some(next);
+        let (sensors, fraction) = (self.net.sensors(), self.cfg.request_fraction);
+        match self.crossing.as_mut() {
+            Some(index) => index.advance(dt, sensors, fraction),
+            None => self.crossing = Some(Crossings::build(sensors, fraction)),
+        }
     }
 
-    /// Drops the kept crossing after a write to sensor state that the
-    /// drain pass did not see, so the next [`Kernel::wake`] scans.
+    /// Drops the crossings index after a write to sensor state that may
+    /// advance a crossing, so the next [`Kernel::wake`] scans and the
+    /// next [`Kernel::drain`] rebuilds it.
     pub fn forget_crossing(&mut self) {
         self.crossing = None;
     }
@@ -557,15 +568,16 @@ impl Kernel {
     /// sensor snaps to the target fraction, or with imperfect telemetry
     /// the arriving MCV measures the true residual, the estimator
     /// reconciles, and the battery absorbs at most the sojourn's fixed
-    /// `planned` budget. The sensor's new crossing joins the kept one.
+    /// `planned` budget. The sensor's new crossing joins the index.
     pub fn land_recharge(&mut self, idx: usize, planned: f64, at: f64) {
         let target_frac = self.cfg.params.charge_target_fraction;
         let fraction = self.cfg.request_fraction;
-        // Folding is exact because the kept minimum holds no term for
-        // this sensor: it was pending, so below the threshold, when its
-        // recharge was queued; drains only lower a residual (a churn
-        // failure refills one but zeroes its drain); and a sensor with
-        // a queued recharge is not dispatched again.
+        // The sensor is still pending, so the index holds no key for it
+        // (the drain that took it below the threshold dropped its key;
+        // see `Crossings`): it was pending when its recharge was queued;
+        // drains only lower a residual (a churn failure refills one but
+        // zeroes its drain); and a sensor with a queued recharge is not
+        // dispatched again.
         debug_assert!(
             self.net.sensors()[idx].time_to_fraction(fraction).is_none(),
             "a landing sensor was above the request threshold"
@@ -589,16 +601,14 @@ impl Kernel {
             }
         }
         let landed = self.net.sensors()[idx].time_to_fraction(fraction);
-        if let (Some(kept), Some(c)) = (self.crossing.as_mut(), landed) {
-            if c < *kept {
-                *kept = c;
-            }
+        if let (Some(index), Some(x)) = (self.crossing.as_mut(), landed) {
+            index.insert(idx, x);
         }
     }
 
     /// The layers' next wake-up after `self.t`, as `(relative,
     /// absolute)`: the soonest request-threshold crossing in seconds
-    /// from now (the kept one, when the drain pass has kept it), and
+    /// from now (the index's, when the last drain kept one), and
     /// the soonest channel delivery or retry or hardware failure as an
     /// instant. Unless `pending_only` — which keeps just the events
     /// that can change the pending set — telemetry reports count too,
@@ -608,14 +618,14 @@ impl Kernel {
         let t = self.t;
         let scan = |fraction| self.net.time_to_next_crossing(fraction).unwrap_or(f64::INFINITY);
         let fraction = self.cfg.request_fraction;
-        let mut rel = match self.crossing {
-            Some(kept) => {
+        let mut rel = match self.crossing.as_ref() {
+            Some(index) => {
                 debug_assert_eq!(
-                    kept.to_bits(),
+                    index.soonest.to_bits(),
                     scan(fraction).to_bits(),
                     "the kept crossing differs from a fresh scan"
                 );
-                kept
+                index.soonest
             }
             None => scan(fraction),
         };
@@ -757,6 +767,146 @@ impl Kernel {
     }
 }
 
+/// The sensors above the request threshold, in a min-heap keyed by the
+/// instant each will cross it, so a drain finds the soonest crossing
+/// from a few keys instead of a division per sensor.
+///
+/// Instants are on the index's own clock τ, the seconds drained since
+/// the build. A drain lowers each residual by `rate · dt` while τ
+/// advances by `dt`, so between writes a sensor's crossing instant
+/// τ + `time_to_fraction` stays put up to rounding.
+/// [`Crossings::advance`] pops every key within twice
+/// [`Crossings::drift`] of the least refreshed one and evaluates each
+/// popped sensor exactly, so the kept [`Crossings::soonest`] is the
+/// least exact `time_to_fraction` of all, bit for bit what
+/// [`Network::time_to_next_crossing`] scans.
+///
+/// # The drift bound
+///
+/// Let u = 2⁻⁵³ and fix a sensor with rate c > 0 and threshold
+/// θ = `fraction` · C. While the index lives neither changes (a churn
+/// step or `restore`, which can change c, drops the index), and the
+/// residual never exceeds R = max(C, r at the build): drains lower it
+/// and a landing refills it to at most its capacity. So every R/c is
+/// at most L = `longest`. Write X_j = (r_j − θ)/c, exactly, after the
+/// j-th drain since the build.
+///
+/// 1. A key written after drain w (the build is w = 0, with τ₀ = 0) is
+///    fl(τ_w + fl(fl(r_w − θ)/c)). Its three roundings put it within
+///    u·(τ_w + L) + 2u·L of τ_w + X_w.
+/// 2. Drain j rounds c·d_j and the subtraction, so
+///    r_j = r_{j−1} − c·d_j + η_j with |η_j| ≤ u·c·d_j + u·R; and
+///    τ_j = τ_{j−1} + d_j + ζ_j with |ζ_j| ≤ u·τ_j.
+/// 3. Over the k ≤ m drains since the write,
+///    τ_m + X_m = τ_w + X_w + Σζ_j + Ση_j/c. A sensor still above θ
+///    drained less than it held, so Σd_j ≤ L and |Ση_j/c| ≤ (k + 1)·u·L,
+///    while |Σζ_j| ≤ k·u·τ_m.
+/// 4. `time_to_fraction` returns fl(fl(r_m − θ)/c), within 2u·L of X_m.
+///
+/// So after m drains every key lies within
+/// δ = u·((m + 6)·L + (m + 1)·τ_m) of τ_m plus its sensor's exact
+/// `time_to_fraction`, to first order in u; `drift` returns
+/// u·(m + 8)·(L + τ_m) + `f64::MIN_POSITIVE`, which also covers the
+/// u² terms, `longest`'s own rounding and underflow.
+///
+/// `advance` pops keys in order, evaluates each popped sensor's
+/// x = `time_to_fraction` and pushes a live one back with the refreshed
+/// key fl(τ_m + x). Let B be the least refreshed key, set by sensor p.
+/// A live sensor s whose key exceeds B + 2·`drift` has
+/// τ_m + x_s > B + `drift` ≥ τ_m + x_p, since B rounds τ_m + x_p by at
+/// most u·(τ_m + L); so x_s > x_p, and the least popped x is the least
+/// of all. A sensor that crossed since the last drain has a key
+/// of at most τ_m + δ ≤ B + 2·`drift`, so that drain pops and drops it:
+/// the heap holds each sensor above the threshold exactly once.
+///
+/// Writes that can only delay a crossing keep the index: a pending
+/// sensor's recharge adds a fresh key ([`Crossings::insert`]), and a
+/// key that is too early is refreshed when popped. A write that can
+/// advance a crossing, such as churn's rerouted consumption or
+/// `restore`, must drop it.
+struct Crossings {
+    /// `Reverse((key.to_bits(), sensor))`, one per sensor above the
+    /// threshold. Keys are at least +0.0, so bit order is numeric order.
+    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// τ: seconds drained since the build.
+    clock: f64,
+    /// Drains since the build.
+    drains: u64,
+    /// L: the most joules a draining sensor held at the build or can
+    /// hold (its capacity) over the least draining rate.
+    longest: f64,
+    /// The soonest crossing in seconds from now, the least exact
+    /// `time_to_fraction` (`INFINITY` when no sensor will cross).
+    soonest: f64,
+    /// `advance`'s popped live keys, pushed back refreshed.
+    popped: Vec<Reverse<(u64, usize)>>,
+}
+
+impl Crossings {
+    /// The index over `sensors` from one pass, at τ = 0, where each key
+    /// is the sensor's `time_to_fraction` itself.
+    fn build(sensors: &[Sensor], fraction: f64) -> Self {
+        let (mut most_j, mut least_w, mut soonest) = (0.0f64, f64::INFINITY, f64::INFINITY);
+        let mut keys = Vec::with_capacity(sensors.len());
+        for (i, s) in sensors.iter().enumerate() {
+            if s.consumption_w > 0.0 {
+                most_j = most_j.max(s.capacity_j.max(s.residual_j));
+                least_w = least_w.min(s.consumption_w);
+            }
+            if let Some(x) = s.time_to_fraction(fraction) {
+                keys.push(Reverse((x.to_bits(), i)));
+                soonest = soonest.min(x);
+            }
+        }
+        Crossings {
+            heap: BinaryHeap::from(keys),
+            clock: 0.0,
+            drains: 0,
+            longest: most_j / least_w,
+            soonest,
+            popped: Vec::new(),
+        }
+    }
+
+    /// The bound on how far a key may sit from τ plus its sensor's
+    /// exact `time_to_fraction` (see the type's docs).
+    fn drift(&self) -> f64 {
+        let u = f64::EPSILON / 2.0;
+        u * (self.drains as f64 + 8.0) * (self.longest + self.clock) + f64::MIN_POSITIVE
+    }
+
+    /// Follows a drain of `dt` seconds: advances τ, then pops every key
+    /// up to the least refreshed live key plus twice the drift, drops
+    /// the sensors that have crossed, pushes the rest back with
+    /// refreshed keys and keeps the least exact crossing.
+    fn advance(&mut self, dt: f64, sensors: &[Sensor], fraction: f64) {
+        self.clock += dt;
+        self.drains += 1;
+        let margin = 2.0 * self.drift();
+        let (mut soonest, mut limit) = (f64::INFINITY, f64::INFINITY);
+        while let Some(&Reverse((bits, i))) = self.heap.peek() {
+            if f64::from_bits(bits) > limit {
+                break;
+            }
+            self.heap.pop();
+            if let Some(x) = sensors[i].time_to_fraction(fraction) {
+                let key = self.clock + x;
+                self.popped.push(Reverse((key.to_bits(), i)));
+                limit = limit.min(key + margin);
+                soonest = soonest.min(x);
+            }
+        }
+        self.heap.extend(self.popped.drain(..));
+        self.soonest = soonest;
+    }
+
+    /// Adds sensor `i`, which holds no key, crossing in `x` seconds.
+    fn insert(&mut self, i: usize, x: f64) {
+        self.heap.push(Reverse(((self.clock + x).to_bits(), i)));
+        self.soonest = self.soonest.min(x);
+    }
+}
+
 /// The dispatch batch: at least `max(min_batch, ⌈batch_fraction · n⌉)`
 /// pending requests.
 pub(crate) fn batch_size(cfg: &SimConfig, n: usize) -> usize {
@@ -824,9 +974,12 @@ pub(crate) fn truncate_tour(tour: &mut ChargerTour, cutoff_s: f64) {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::{drain_sensor, Kernel};
+pub(crate) mod tests {
+    use super::{drain_sensor, Crossings, Kernel};
     use crate::{AsyncSimulation, SimConfig, SimReport, Simulation};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
     use wrsn_core::{Appro, PlannerConfig};
     use wrsn_geom::{Point, Rect};
     use wrsn_net::{Network, NetworkBuilder, Sensor, SensorId};
@@ -865,11 +1018,21 @@ mod tests {
         Kernel::new(NetworkBuilder::new(40).seed(6).build(), cfg, 2, false).expect("context")
     }
 
+    /// Drains `kn` for `dt` seconds and advances its clock.
+    fn drain_for(kn: &mut Kernel, dt: f64) {
+        kn.drain(dt);
+        kn.t += dt;
+    }
+
+    /// The soonest crossing `kn`'s index keeps.
+    fn soonest(kn: &Kernel) -> f64 {
+        kn.crossing.as_ref().expect("the drain keeps the index").soonest
+    }
+
     /// Drains `kn` for an hour, which keeps a crossing, and returns it.
     fn drain_an_hour(kn: &mut Kernel) -> f64 {
-        kn.drain(3_600.0);
-        kn.t += 3_600.0;
-        kn.crossing.expect("the drain pass keeps a crossing")
+        drain_for(kn, 3_600.0);
+        soonest(kn)
     }
 
     /// A fresh scan for the soonest request-threshold crossing.
@@ -883,13 +1046,44 @@ mod tests {
         assert_eq!(kn.wake(true).0.to_bits(), scanned(kn).to_bits());
     }
 
+    /// The sensors above the request threshold, ascending.
+    fn live(sensors: &[Sensor], fraction: f64) -> Vec<usize> {
+        (0..sensors.len()).filter(|&i| sensors[i].time_to_fraction(fraction).is_some()).collect()
+    }
+
+    /// The sensors `index` holds keys for, ascending, repeats kept.
+    fn held(index: &Crossings) -> Vec<usize> {
+        let mut held: Vec<usize> = index.heap.iter().map(|&Reverse((_, i))| i).collect();
+        held.sort_unstable();
+        held
+    }
+
+    /// `kn` keeps an index whose soonest crossing equals a fresh scan bit
+    /// for bit and which holds each sensor above the threshold once.
+    fn assert_index_scans(kn: &Kernel) {
+        let index = kn.crossing.as_ref().expect("the drain keeps the index");
+        assert_eq!(index.soonest.to_bits(), scanned(kn).to_bits());
+        assert_eq!(held(index), live(kn.net.sensors(), kn.cfg.request_fraction));
+        assert_wake_scans(kn);
+    }
+
+    /// After a write that can advance a crossing: `kn` has dropped its
+    /// index, so `wake` scans, and the next drain rebuilds it equal to a
+    /// scan.
+    pub(crate) fn assert_dropped_then_rebuilt(kn: &mut Kernel) {
+        assert!(kn.crossing.is_none(), "the index outlived a write that can advance a crossing");
+        assert_wake_scans(kn);
+        drain_for(kn, 60.0);
+        assert_index_scans(kn);
+    }
+
     #[test]
     fn the_drain_pass_keeps_the_scanned_crossing() {
         let mut kn = kernel(SimConfig::default());
-        assert_eq!(kn.crossing, None);
+        assert!(kn.crossing.is_none());
         let kept = drain_an_hour(&mut kn);
         assert_eq!(kept.to_bits(), scanned(&kn).to_bits());
-        assert_wake_scans(&kn);
+        assert_index_scans(&kn);
     }
 
     #[test]
@@ -900,12 +1094,16 @@ mod tests {
         let hot = &mut kn.net.sensors_mut()[7];
         hot.consumption_w *= 50.0;
         hot.residual_j = 0.1 * hot.capacity_j;
-        kn.drain(1.0);
-        kn.t += 1.0;
-        let kept = kn.crossing.expect("kept");
+        drain_for(&mut kn, 1.0);
+        let kept = soonest(&kn);
         kn.land_recharge(7, f64::INFINITY, kn.t);
-        assert!(kn.crossing.expect("still kept") < kept);
-        assert_wake_scans(&kn);
+        assert!(soonest(&kn) < kept);
+        assert_index_scans(&kn);
+        // The landing's key carries the sensor into later drains.
+        drain_for(&mut kn, 60.0);
+        let first = kn.net.sensors()[7].time_to_fraction(kn.cfg.request_fraction);
+        assert_eq!(Some(soonest(&kn)), first);
+        assert_index_scans(&kn);
     }
 
     #[test]
@@ -927,7 +1125,23 @@ mod tests {
         kn.churn_step();
         assert_eq!(kn.ledger.failed_sensors, 1);
         assert_ne!(scanned(&kn).to_bits(), kept.to_bits());
-        assert_wake_scans(&kn);
+        assert_dropped_then_rebuilt(&mut kn);
+        // A step that changes nothing writes no sensor state.
+        kn.churn_step();
+        assert_index_scans(&kn);
+        // A depletion death repairs the tree with no hardware failure:
+        // the sensors it relayed for reroute, and their rates change.
+        let routing = kn.net.routing();
+        let (child, relay) = (0..40)
+            .filter(|&i| i != first)
+            .find_map(|i| routing.next_hops[i].iter().find(|h| h.0 != first).map(|h| (i, h.0)))
+            .expect("some sensor relays through another");
+        let rate = kn.net.sensors()[child].consumption_w;
+        kn.net.sensors_mut()[relay].residual_j = 0.0;
+        kn.churn_step();
+        assert_eq!(kn.ledger.failed_sensors, 1);
+        assert_ne!(kn.net.sensors()[child].consumption_w, rate);
+        assert_dropped_then_rebuilt(&mut kn);
     }
 
     #[test]
@@ -937,7 +1151,148 @@ mod tests {
         let kept = drain_an_hour(&mut kn);
         kn.restore(snap);
         assert_ne!(scanned(&kn).to_bits(), kept.to_bits());
-        assert_wake_scans(&kn);
+        assert_dropped_then_rebuilt(&mut kn);
+    }
+
+    /// A full 10.8 kJ sensor at `fraction` of its charge, drawing `rate_w`.
+    fn charged(i: u32, fraction: f64, rate_w: f64) -> Sensor {
+        let mut s = Sensor::new(SensorId(i), Point::ORIGIN, 10_800.0, 0.0);
+        s.residual_j = fraction * s.capacity_j;
+        s.consumption_w = rate_w;
+        s
+    }
+
+    /// Drains `sensors` for `dt` seconds and `index` with them.
+    fn drain_index(index: &mut Crossings, sensors: &mut [Sensor], dt: f64, fraction: f64) {
+        let mut dead = 0.0;
+        for s in sensors.iter_mut() {
+            drain_sensor(s, dt, &mut dead);
+        }
+        index.advance(dt, sensors, fraction);
+    }
+
+    #[test]
+    fn a_key_late_by_the_drift_still_yields_the_exact_minimum() {
+        let fraction = SimConfig::default().request_fraction;
+        // Sensor 1 crosses a few ulps after sensor 0.
+        let mut sensors = vec![charged(0, 0.5, 0.01), charged(1, 0.5, 0.01)];
+        sensors[1].residual_j = f64::from_bits(sensors[0].residual_j.to_bits() + 1);
+        let mut index = Crossings::build(&sensors, fraction);
+        drain_index(&mut index, &mut sensors, 3_600.0, fraction);
+        let x: Vec<f64> =
+            sensors.iter().map(|s| s.time_to_fraction(fraction).expect("live")).collect();
+        assert!(x[0] < x[1], "{x:?}");
+        // Sensor 0's key, pushed a drift late, now sorts after sensor
+        // 1's: the margin must still reach it.
+        let late = index.drift();
+        index.heap = index
+            .heap
+            .drain()
+            .map(|Reverse((key, i))| {
+                let key = if i == 0 { f64::from_bits(key) + late } else { f64::from_bits(key) };
+                Reverse((key.to_bits(), i))
+            })
+            .collect();
+        assert_eq!(index.heap.peek().map(|&Reverse((_, i))| i), Some(1));
+        index.advance(0.0, &sensors, fraction);
+        assert_eq!(index.soonest.to_bits(), x[0].to_bits());
+    }
+
+    /// A drain step of 0 s, 1 ns or up to a day.
+    fn step_s(kind: u8, frac: f64) -> f64 {
+        match kind {
+            0 => 0.0,
+            1 => 1e-9,
+            _ => frac * 86_400.0,
+        }
+    }
+
+    proptest! {
+        /// After every drain each key lies within the drift of τ plus its
+        /// sensor's exact crossing, the drift the margin relies on, and
+        /// the soonest sensor's key is refreshed.
+        #[test]
+        fn keys_stay_within_the_drift_of_their_exact_crossings(
+            draws in vec((0.0f64..1.0, 1e-4f64..0.1), 1..30),
+            steps in vec((0u8..3, 0.0f64..1.0), 1..60),
+        ) {
+            let fraction = SimConfig::default().request_fraction;
+            let mut sensors: Vec<Sensor> =
+                draws.iter().zip(0..).map(|(&(f, w), i)| charged(i, f, w)).collect();
+            let mut index = Crossings::build(&sensors, fraction);
+            for &(kind, frac) in &steps {
+                drain_index(&mut index, &mut sensors, step_s(kind, frac), fraction);
+                let drift = index.drift();
+                for &Reverse((key, i)) in &index.heap {
+                    let x = sensors[i].time_to_fraction(fraction);
+                    prop_assert!(x.is_some(), "sensor {i} crossed but keeps a key");
+                    let off = f64::from_bits(key) - index.clock - x.unwrap_or(0.0);
+                    prop_assert!(off.abs() <= drift, "sensor {i}: {off:e} s off, drift {drift:e}");
+                }
+                if index.soonest.is_finite() {
+                    let (soonest, refreshed) =
+                        (index.soonest, (index.clock + index.soonest).to_bits());
+                    let first = index.heap.iter().any(|&Reverse((key, i))| {
+                        key == refreshed && sensors[i].time_to_fraction(fraction) == Some(soonest)
+                    });
+                    prop_assert!(first, "the soonest sensor's key was not refreshed");
+                }
+                prop_assert_eq!(held(&index), live(&sensors, fraction));
+            }
+        }
+
+        /// The kept crossing equals a scan in `to_bits()` after every
+        /// drain and landing, over ties, near-ties (1–4 ulps), idle
+        /// sensors, residuals at the threshold and at 0, and sensors that
+        /// cross and die within one drain.
+        #[test]
+        fn the_kept_crossing_matches_a_scan_after_every_drain_and_landing(
+            shapes in vec((0u8..7, 0usize..40, 1u64..5), 40),
+            steps in vec((0u8..4, 0.0f64..1.0), 1..40),
+        ) {
+            let mut kn = kernel(SimConfig::default());
+            let fraction = kn.cfg.request_fraction;
+            let base = kn.net.sensors().to_vec();
+            for (i, &(shape, j, ulps)) in shapes.iter().enumerate() {
+                let s = &mut kn.net.sensors_mut()[i];
+                let threshold = fraction * s.capacity_j;
+                match shape {
+                    1 | 2 => {
+                        s.residual_j = base[j].residual_j;
+                        s.consumption_w = base[j].consumption_w;
+                        if shape == 2 {
+                            s.residual_j = f64::from_bits(s.residual_j.to_bits() + ulps);
+                        }
+                    }
+                    3 => s.consumption_w = 0.0,
+                    4 => s.residual_j = threshold,
+                    5 => s.residual_j = 0.0,
+                    6 => {
+                        s.consumption_w *= 100.0;
+                        s.residual_j = threshold + 10.0 * s.consumption_w;
+                    }
+                    _ => {}
+                }
+            }
+            for &(kind, frac) in &steps {
+                if kind == 3 {
+                    let pending: Vec<usize> = (0..40)
+                        .filter(|&i| kn.net.sensors()[i].time_to_fraction(fraction).is_none())
+                        .collect();
+                    if kn.crossing.is_none() || pending.is_empty() {
+                        continue;
+                    }
+                    let pick = (frac * pending.len() as f64) as usize;
+                    let idx = pending[pick.min(pending.len() - 1)];
+                    kn.land_recharge(idx, f64::INFINITY, kn.t);
+                } else {
+                    drain_for(&mut kn, step_s(kind, frac));
+                }
+                let index = kn.crossing.as_ref().expect("the drain keeps the index");
+                prop_assert_eq!(index.soonest.to_bits(), scanned(&kn).to_bits());
+                prop_assert_eq!(held(index), live(kn.net.sensors(), fraction));
+            }
+        }
     }
 
     /// Thirty sensors within 25 m of the depot and one 80 m out. A full

@@ -14,11 +14,13 @@
 //! telemetry, topology churn, charger energy), the service ledger,
 //! dead-time accounting and the trace. Draining and dead-time
 //! accounting are internal to that kernel: one pass over the sensors
-//! per event drains them, accounts dead time and finds the next
-//! request-threshold crossing. Tour execution is a kernel step too: a
-//! dispatched tour wears its charger's operating life and replays its
-//! battery the same way under either policy. The simulators differ
-//! only in their dispatch policy (documented in `DESIGN.md` §19):
+//! per event drains them and accounts dead time, and an index of the
+//! instants at which sensors will cross the request threshold finds
+//! the next crossing without another pass. Tour execution is a kernel
+//! step too: a dispatched tour wears its charger's operating life and
+//! replays its battery the same way under either policy. The
+//! simulators differ only in their dispatch policy (documented in
+//! `DESIGN.md` §19):
 //!
 //! - [`Simulation`], the round barrier behind the paper's per-round
 //!   metrics: requests accumulate while chargers are away; a round is

@@ -776,6 +776,114 @@ fn armed_adversary_matches_pinned_serve_digest() {
 /// Pinned by `print_digests`.
 const EXPECTED_ARMED_ADVERSARY: u64 = 0x528c_ac7b_a715_f3be;
 
+/// Folds the bytes a virtual-clock serve run leaves on disk into `h`:
+/// the snapshot file after every checkpoint (the shutdown's included)
+/// and the WAL file halfway through every snapshot interval. n = 120,
+/// K = 3, 1 s ticks, at most 2 admissions per tick, 10–28 s charges, a
+/// snapshot every 10 ticks. Traffic starts with 5 requests in the tick
+/// before the first snapshot, so that one holds a queue beside an empty
+/// tour. With `armed`, the guard is armed (every snapshot carries its
+/// `guard` section) and an admission bound defers requests.
+fn serve_durable_bytes(h: &mut u64, armed: bool) {
+    use std::sync::Arc;
+    use wrsn_serve::{GuardConfig, PlannerFactory, ServeConfig, ServeEngine};
+
+    let dir = std::env::temp_dir()
+        .join(format!("wrsn_durable_bytes_{armed}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (wal, snap) = (dir.join("requests.wal"), dir.join("serve_checkpoint.json"));
+    let factory: Arc<PlannerFactory> =
+        Arc::new(|| Box::new(wrsn_core::GreedyTour) as Box<dyn wrsn_core::Planner>);
+    let mut cfg = ServeConfig {
+        k: 3,
+        tick_s: 1.0,
+        max_batch: 2,
+        snapshot_every_ticks: 10,
+        ..ServeConfig::default()
+    };
+    if armed {
+        cfg.admission_bound_s = 110.0;
+        cfg.guard = GuardConfig {
+            rate_per_s: 2.0,
+            burst: 3.0,
+            replay_window_s: 1.0,
+            replay_limit: 2,
+            deficit_margin: 1.0,
+            quarantine_strikes: 3,
+            quarantine_s: 3.0,
+            parole_s: 2.0,
+        };
+    }
+    let net = NetworkBuilder::new(120).seed(31).build();
+    let mut engine =
+        ServeEngine::new(net, cfg, factory).unwrap().with_wal(&wal).unwrap().with_snapshot(&snap);
+    // What the snapshots held: a queue beside an empty tour, a started
+    // stop, a deferred request, and a guard section in every one.
+    let mut seen = [false, false, false, true];
+    let mut fold_snapshot = |h: &mut u64| {
+        let bytes = std::fs::read(&snap).unwrap();
+        let v: serde_json::Value = serde_json::from_slice(&bytes).unwrap();
+        let (tours, queue) = (v["tours"].as_array().unwrap(), v["queue"].as_array().unwrap());
+        let empty_tour = tours.iter().any(|t| t.as_array().unwrap().is_empty());
+        seen[0] |= empty_tour && !queue.is_empty();
+        seen[1] |= tours.iter().flat_map(|t| t.as_array().unwrap()).any(|s| s[7] == true.into());
+        seen[2] |= queue.iter().any(|r| r[4].as_u64() != Some(0));
+        seen[3] &= !v["guard"].is_null();
+        fnv1a(h, &bytes);
+    };
+    for t in 0..80u32 {
+        let arrivals = match t {
+            0..=8 => 0,
+            9 => 5,
+            _ => t % 6,
+        };
+        for j in 0..arrivals {
+            let sensor = (t * 7 + j * 13) % 120;
+            engine.submit(sensor, Some(20.0 + f64::from(t * j % 11) * 3.7)).unwrap();
+        }
+        if t > 9 && t % 9 == 4 {
+            // A flood on one sensor: duplicates inert, strikes armed.
+            for _ in 0..4 {
+                engine.submit(5, Some(30.0)).unwrap();
+            }
+        }
+        engine.tick().unwrap();
+        match engine.ticks() % 10 {
+            0 => fold_snapshot(h),
+            5 => fnv1a(h, &std::fs::read(&wal).unwrap()),
+            _ => {}
+        }
+    }
+    assert!(engine.shutdown().unwrap().ledger_reconciles);
+    fold_snapshot(h);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(seen, [true, true, armed, armed], "snapshot coverage (armed: {armed})");
+}
+
+/// FNV-1a fold of both runs of [`serve_durable_bytes`], inert first.
+fn serve_durable_digest() -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    serve_durable_bytes(&mut h, false);
+    serve_durable_bytes(&mut h, true);
+    h
+}
+
+/// The serve engine's durable bytes — snapshot and WAL, as written to
+/// disk — stay byte-identical: format v1, key order, number spelling
+/// and line layout included.
+#[test]
+fn serve_durable_bytes_match_pinned_digest() {
+    let got = serve_durable_digest();
+    assert_eq!(
+        got, EXPECTED_SERVE_DURABLE_BYTES,
+        "serve durable bytes drifted (got {got:#018x})"
+    );
+}
+
+/// Pinned by `print_digests`.
+const EXPECTED_SERVE_DURABLE_BYTES: u64 = 0x44fe_befc_35b2_d4af;
+
 /// Folds every sojourn's target, start and duration bits, tour by tour
 /// (each tour prefixed by its length), into one order-sensitive hash.
 fn schedule_digest(schedule: &wrsn_core::Schedule) -> u64 {
@@ -947,4 +1055,5 @@ fn print_digests() {
     println!("const EXPECTED_INERT_ADVERSARY: u64 = {inert:#018x};");
     let armed = soak_digest(&armed_adversary_soak());
     println!("const EXPECTED_ARMED_ADVERSARY: u64 = {armed:#018x};");
+    println!("const EXPECTED_SERVE_DURABLE_BYTES: u64 = {:#018x};", serve_durable_digest());
 }

@@ -41,12 +41,13 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use serde_json::{Number, Value};
+use serde_json::Value;
 use wrsn_core::bounds::AdmissionEstimator;
 use wrsn_core::{ChargingProblem, ChargingTarget};
 use wrsn_net::{Network, SensorId};
 use wrsn_sim::{IngressRejectReason, Trace, TraceEvent};
 
+use crate::encode::{push_fields, push_list, push_row};
 use crate::failpoint::{ChaosConfig, ChaosConfigError, ChaosCounters, Failpoints};
 use crate::guard::{Guard, GuardConfig, GuardConfigError, GuardCounters, GuardVerdict};
 use crate::metrics::ServeMetrics;
@@ -877,16 +878,23 @@ impl ServeEngine {
         if !batch.is_empty() {
             let p = self.cfg.params;
             let depot = self.net.depot();
-            let mut est = AdmissionEstimator::new(self.cfg.k, p.gamma_m, p.speed_mps);
-            for (_, stop) in self.tours.stops().filter(|(_, s)| !s.started) {
-                est.admit(depot.dist(stop.pos), stop.duration_s);
-            }
+            let bound_s = self.cfg.admission_bound_s;
+            // Only a set bound reads the estimate, so only then is it
+            // seeded with the unstarted workload and fed the batch.
+            let mut est = (bound_s > 0.0).then(|| {
+                let mut est = AdmissionEstimator::new(self.cfg.k, p.gamma_m, p.speed_mps);
+                for stop in self.tours.chargers().iter().flatten().filter(|s| !s.started) {
+                    est.admit(depot.dist(stop.pos), stop.duration_s);
+                }
+                est
+            });
             for mut req in batch {
                 let duration_s = req.deficit_j / p.eta_w;
                 let pos = self.net.sensors()[req.sensor as usize].pos;
                 let depot_dist = depot.dist(pos);
-                let over = self.cfg.admission_bound_s > 0.0
-                    && est.bound_with(depot_dist, duration_s) > self.cfg.admission_bound_s;
+                let over = est
+                    .as_ref()
+                    .is_some_and(|e| e.bound_with(depot_dist, duration_s) > bound_s);
                 if over && req.deferrals < self.cfg.max_deferrals {
                     req.deferrals += 1;
                     self.ledger.deferrals += 1;
@@ -905,7 +913,9 @@ impl ServeEngine {
                         deferrals: req.deferrals,
                     });
                 }
-                est.admit(depot_dist, duration_s);
+                if let Some(est) = est.as_mut() {
+                    est.admit(depot_dist, duration_s);
+                }
                 let stop = PendingStop {
                     seq: req.seq,
                     sensor: req.sensor,
@@ -1008,7 +1018,7 @@ impl ServeEngine {
     /// (fallback planners, or keeping the incremental tours).
     fn full_replan(&mut self) {
         let unstarted_count =
-            self.tours.stops().filter(|(_, s)| !s.started).count();
+            self.tours.chargers().iter().flatten().filter(|s| !s.started).count();
         if unstarted_count == 0 {
             self.tours.note_replanned();
             return;
@@ -1121,13 +1131,9 @@ impl ServeEngine {
         let Some(path) = self.snapshot_path.clone() else {
             return Ok(());
         };
-        let body = serde_json::to_string(&self.snapshot_value());
-        wrsn_sim::persist::write_atomic_with(
-            &path,
-            body.as_bytes(),
-            &mut self.failpoints.snapshot_hooks(),
-        )
-        .map_err(|e| ServeError::Io(e.to_string()))?;
+        let body = self.snapshot_bytes();
+        wrsn_sim::persist::write_atomic_with(&path, &body, &mut self.failpoints.snapshot_hooks())
+            .map_err(|e| ServeError::Io(e.to_string()))?;
         if let Some(wal) = self.wal.as_mut() {
             if wal.pending() == 0 {
                 match wal.compact(&mut self.failpoints) {
@@ -1205,111 +1211,115 @@ impl ServeEngine {
 
     // ----- snapshot codec -----------------------------------------------
 
-    fn snapshot_value_base(&self) -> Value {
-        let queue: Vec<Value> = self
-            .queue
-            .iter()
-            .map(|r| {
-                Value::Array(vec![
-                    num(r.seq),
-                    num(u64::from(r.sensor)),
-                    bits(r.deficit_j),
-                    bits(r.admitted_at_s),
-                    num(u64::from(r.deferrals)),
-                    bits(r.lifetime_s),
-                ])
-            })
-            .collect();
-        let mut tours: Vec<Vec<Value>> = vec![Vec::new(); self.cfg.k];
-        for (c, s) in self.tours.stops() {
-            tours[c].push(Value::Array(vec![
-                num(s.seq),
-                num(u64::from(s.sensor)),
-                bits(s.duration_s),
-                bits(s.admitted_at_s),
-                bits(s.lifetime_s),
-                bits(s.start_s),
-                bits(s.finish_s),
-                Value::Bool(s.started),
-            ]));
-        }
-        let anchors: Vec<Value> = self
-            .tours
-            .anchors()
-            .iter()
-            .map(|&(pos, free)| Value::Array(vec![bits(pos.x), bits(pos.y), bits(free)]))
-            .collect();
-        serde_json::json!({
-            "version": FORMAT_VERSION,
-            "n": self.net.sensors().len(),
-            "k": self.cfg.k,
-            "now_bits": self.now_s.to_bits(),
-            "ticks": self.ticks,
-            "next_seq": self.next_seq,
-            "ledger": serde_json::json!({
-                "admitted": self.ledger.admitted,
-                "charged": self.ledger.charged,
-                "shed": self.ledger.shed,
-                "duplicates": self.ledger.duplicates,
-                "invalid": self.ledger.invalid,
-                "escalated": self.ledger.escalated,
-                "deferrals": self.ledger.deferrals,
-                "refused_degraded": self.ledger.refused_degraded,
-                "rejected": self.ledger.rejected,
-                "refused_quarantined": self.ledger.refused_quarantined,
-            }),
-            "counters": serde_json::json!({
-                "max_queue_depth": self.metrics.max_queue_depth,
-                "max_in_flight": self.metrics.max_in_flight,
-                "watchdog_trips": self.metrics.watchdog_trips,
-                "full_replans": self.metrics.full_replans,
-                "replans_skipped": self.metrics.replans_skipped,
-                "incremental_inserts": self.metrics.incremental_inserts,
-                "planner_fallbacks": self.metrics.planner_fallbacks,
-                "io_retries": self.metrics.io_retries,
-                "degraded_entries": self.metrics.degraded_entries,
-                "degraded_exits": self.metrics.degraded_exits,
-                "degraded_ticks": self.metrics.degraded_ticks,
-                "snapshot_failures": self.metrics.snapshot_failures,
-                // Compaction counters are process-life observability,
-                // deliberately absent: a compaction strictly follows
-                // the snapshot write it pairs with, so by causality no
-                // snapshot can ever contain its own compaction's count.
-            }),
-            "queue": Value::Array(queue),
-            "tours": Value::Array(tours.into_iter().map(Value::Array).collect()),
-            "anchors": Value::Array(anchors),
-        })
-    }
-
-    fn snapshot_value(&self) -> Value {
-        let mut v = self.snapshot_value_base();
-        // The guard section is present only when a defense is armed:
-        // inert snapshots stay byte-for-byte what they were before the
-        // guard existed, and restore treats an absent section as a
-        // fresh guard (tolerant-absent, like `refused_degraded`).
+    /// The snapshot (format v1), encoded straight to bytes: a compact
+    /// JSON object with every `f64` as its `to_bits()` integer, keys in
+    /// a fixed order. The `guard` section is present only when a
+    /// defense is armed: inert snapshots stay byte-for-byte what they
+    /// were before the guard existed, and restore treats an absent
+    /// section as a fresh guard (tolerant-absent, like
+    /// `refused_degraded`). The tests hold these bytes equal to the
+    /// `serde_json` printing of the same state as a `Value`.
+    fn snapshot_bytes(&self) -> Vec<u8> {
+        let guard_rows =
+            if self.guard.is_active() { self.guard.snapshot_rows() } else { Vec::new() };
+        // Rows are mostly 19–20-digit integers; reserve about enough.
+        let mut out = Vec::with_capacity(
+            1024 + 80 * self.queue.len()
+                + 128 * self.tours.pending()
+                + 64 * self.cfg.k
+                + 224 * guard_rows.len(),
+        );
+        let (l, m) = (&self.ledger, &self.metrics);
+        out.push(b'{');
+        push_fields(
+            &mut out,
+            &[
+                ("version", FORMAT_VERSION),
+                ("n", self.net.sensors().len() as u64),
+                ("k", self.cfg.k as u64),
+                ("now_bits", self.now_s.to_bits()),
+                ("ticks", self.ticks),
+                ("next_seq", self.next_seq),
+            ],
+        );
+        out.extend_from_slice(b",\"ledger\":{");
+        push_fields(
+            &mut out,
+            &[
+                ("admitted", l.admitted),
+                ("charged", l.charged),
+                ("shed", l.shed),
+                ("duplicates", l.duplicates),
+                ("invalid", l.invalid),
+                ("escalated", l.escalated),
+                ("deferrals", l.deferrals),
+                ("refused_degraded", l.refused_degraded),
+                ("rejected", l.rejected),
+                ("refused_quarantined", l.refused_quarantined),
+            ],
+        );
+        out.extend_from_slice(b"},\"counters\":{");
+        // Compaction counters are process-life observability,
+        // deliberately absent: a compaction strictly follows the
+        // snapshot write it pairs with, so by causality no snapshot can
+        // ever contain its own compaction's count.
+        push_fields(
+            &mut out,
+            &[
+                ("max_queue_depth", m.max_queue_depth as u64),
+                ("max_in_flight", m.max_in_flight as u64),
+                ("watchdog_trips", m.watchdog_trips),
+                ("full_replans", m.full_replans),
+                ("replans_skipped", m.replans_skipped),
+                ("incremental_inserts", m.incremental_inserts),
+                ("planner_fallbacks", m.planner_fallbacks),
+                ("io_retries", m.io_retries),
+                ("degraded_entries", m.degraded_entries),
+                ("degraded_exits", m.degraded_exits),
+                ("degraded_ticks", m.degraded_ticks),
+                ("snapshot_failures", m.snapshot_failures),
+            ],
+        );
+        out.extend_from_slice(b"},\"queue\":");
+        push_list(&mut out, self.queue.iter(), |out, r| {
+            let row = [
+                r.seq,
+                u64::from(r.sensor),
+                r.deficit_j.to_bits(),
+                r.admitted_at_s.to_bits(),
+                u64::from(r.deferrals),
+                r.lifetime_s.to_bits(),
+            ];
+            push_row(out, &row, b"]");
+        });
+        out.extend_from_slice(b",\"tours\":");
+        push_list(&mut out, self.tours.chargers(), |out, stops| {
+            push_list(out, stops, |out, s| {
+                let row = [
+                    s.seq,
+                    u64::from(s.sensor),
+                    s.duration_s.to_bits(),
+                    s.admitted_at_s.to_bits(),
+                    s.lifetime_s.to_bits(),
+                    s.start_s.to_bits(),
+                    s.finish_s.to_bits(),
+                ];
+                push_row(out, &row, if s.started { b",true]" } else { b",false]" });
+            });
+        });
+        out.extend_from_slice(b",\"anchors\":");
+        push_list(&mut out, self.tours.anchors(), |out, &(pos, free)| {
+            push_row(out, &[pos.x.to_bits(), pos.y.to_bits(), free.to_bits()], b"]");
+        });
         if self.guard.is_active() {
-            let mut counters = serde_json::Map::new();
-            for &(k, x) in &self.guard.counter_pairs() {
-                counters.insert(k.to_string(), num(x));
-            }
-            let sensors: Vec<Value> = self
-                .guard
-                .snapshot_rows()
-                .iter()
-                .map(|row| Value::Array(row.iter().map(|&x| num(x)).collect()))
-                .collect();
-            if let Value::Object(map) = &mut v {
-                map.insert(
-                    "guard".into(),
-                    serde_json::json!({
-                        "counters": Value::Object(counters),
-                        "sensors": Value::Array(sensors),
-                    }),
-                );
-            }
+            out.extend_from_slice(b",\"guard\":{\"counters\":{");
+            push_fields(&mut out, &self.guard.counter_pairs());
+            out.extend_from_slice(b"},\"sensors\":");
+            push_list(&mut out, &guard_rows, |out, row| push_row(out, row, b"]"));
+            out.push(b'}');
         }
-        v
+        out.push(b'}');
+        out
     }
 
     fn restore_snapshot(&mut self, v: &Value) -> Result<(), ServeError> {
@@ -1374,7 +1384,7 @@ impl ServeEngine {
             if row.len() != 6 {
                 return Err(ServeError::Snapshot("queue entry arity".into()));
             }
-            let sensor = elem_u64(&row[1], "queue sensor")? as u32;
+            let sensor = elem_u32(&row[1], "queue sensor")?;
             if sensor as usize >= n {
                 return Err(ServeError::Snapshot("queue sensor out of range".into()));
             }
@@ -1383,7 +1393,7 @@ impl ServeEngine {
                 sensor,
                 deficit_j: elem_bits(&row[2], "queue deficit")?,
                 admitted_at_s: elem_bits(&row[3], "queue admitted_at")?,
-                deferrals: elem_u64(&row[4], "queue deferrals")? as u32,
+                deferrals: elem_u32(&row[4], "queue deferrals")?,
                 lifetime_s: elem_bits(&row[5], "queue lifetime")?,
             };
             self.pending[sensor as usize] = true;
@@ -1404,7 +1414,7 @@ impl ServeEngine {
                 if row.len() != 8 {
                     return Err(ServeError::Snapshot("tour stop arity".into()));
                 }
-                let sensor = elem_u64(&row[1], "stop sensor")? as u32;
+                let sensor = elem_u32(&row[1], "stop sensor")?;
                 if sensor as usize >= n {
                     return Err(ServeError::Snapshot("stop sensor out of range".into()));
                 }
@@ -1529,14 +1539,6 @@ impl ServeEngine {
     }
 }
 
-fn num(x: u64) -> Value {
-    Value::Number(Number::U(x))
-}
-
-fn bits(x: f64) -> Value {
-    Value::Number(Number::U(x.to_bits()))
-}
-
 fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, ServeError> {
     v.get(key).ok_or_else(|| ServeError::Snapshot(format!("missing field {key:?}")))
 }
@@ -1563,6 +1565,12 @@ fn elem_u64(v: &Value, what: &str) -> Result<u64, ServeError> {
     v.as_u64().ok_or_else(|| ServeError::Snapshot(format!("{what} is not a u64")))
 }
 
+/// A `u32` field: a wider value is refused, never truncated.
+fn elem_u32(v: &Value, what: &str) -> Result<u32, ServeError> {
+    u32::try_from(elem_u64(v, what)?)
+        .map_err(|_| ServeError::Snapshot(format!("{what} is not a u32")))
+}
+
 fn elem_bits(v: &Value, what: &str) -> Result<f64, ServeError> {
     elem_u64(v, what).map(f64::from_bits)
 }
@@ -1570,12 +1578,128 @@ fn elem_bits(v: &Value, what: &str) -> Result<f64, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde_json::Number;
     use wrsn_core::GreedyTour;
     use wrsn_net::NetworkBuilder;
 
     fn factory() -> Arc<PlannerFactory> {
         Arc::new(|| Box::new(GreedyTour) as Box<dyn wrsn_core::Planner>)
     }
+
+    fn num(x: u64) -> Value {
+        Value::Number(Number::U(x))
+    }
+
+    fn bits(x: f64) -> Value {
+        Value::Number(Number::U(x.to_bits()))
+    }
+
+    /// The reference encoder [`ServeEngine::snapshot_bytes`] is held to:
+    /// the snapshot built as a `Value` tree, as format v1 was first
+    /// written.
+    impl ServeEngine {
+        fn snapshot_value_base(&self) -> Value {
+            let queue: Vec<Value> = self
+                .queue
+                .iter()
+                .map(|r| {
+                    Value::Array(vec![
+                        num(r.seq),
+                        num(u64::from(r.sensor)),
+                        bits(r.deficit_j),
+                        bits(r.admitted_at_s),
+                        num(u64::from(r.deferrals)),
+                        bits(r.lifetime_s),
+                    ])
+                })
+                .collect();
+            let mut tours: Vec<Vec<Value>> = vec![Vec::new(); self.cfg.k];
+            for (c, stops) in self.tours.chargers().iter().enumerate() {
+                for s in stops {
+                    tours[c].push(Value::Array(vec![
+                        num(s.seq),
+                        num(u64::from(s.sensor)),
+                        bits(s.duration_s),
+                        bits(s.admitted_at_s),
+                        bits(s.lifetime_s),
+                        bits(s.start_s),
+                        bits(s.finish_s),
+                        Value::Bool(s.started),
+                    ]));
+                }
+            }
+            let anchors: Vec<Value> = self
+                .tours
+                .anchors()
+                .iter()
+                .map(|&(pos, free)| Value::Array(vec![bits(pos.x), bits(pos.y), bits(free)]))
+                .collect();
+            serde_json::json!({
+                "version": FORMAT_VERSION,
+                "n": self.net.sensors().len(),
+                "k": self.cfg.k,
+                "now_bits": self.now_s.to_bits(),
+                "ticks": self.ticks,
+                "next_seq": self.next_seq,
+                "ledger": serde_json::json!({
+                    "admitted": self.ledger.admitted,
+                    "charged": self.ledger.charged,
+                    "shed": self.ledger.shed,
+                    "duplicates": self.ledger.duplicates,
+                    "invalid": self.ledger.invalid,
+                    "escalated": self.ledger.escalated,
+                    "deferrals": self.ledger.deferrals,
+                    "refused_degraded": self.ledger.refused_degraded,
+                    "rejected": self.ledger.rejected,
+                    "refused_quarantined": self.ledger.refused_quarantined,
+                }),
+                "counters": serde_json::json!({
+                    "max_queue_depth": self.metrics.max_queue_depth,
+                    "max_in_flight": self.metrics.max_in_flight,
+                    "watchdog_trips": self.metrics.watchdog_trips,
+                    "full_replans": self.metrics.full_replans,
+                    "replans_skipped": self.metrics.replans_skipped,
+                    "incremental_inserts": self.metrics.incremental_inserts,
+                    "planner_fallbacks": self.metrics.planner_fallbacks,
+                    "io_retries": self.metrics.io_retries,
+                    "degraded_entries": self.metrics.degraded_entries,
+                    "degraded_exits": self.metrics.degraded_exits,
+                    "degraded_ticks": self.metrics.degraded_ticks,
+                    "snapshot_failures": self.metrics.snapshot_failures,
+                }),
+                "queue": Value::Array(queue),
+                "tours": Value::Array(tours.into_iter().map(Value::Array).collect()),
+                "anchors": Value::Array(anchors),
+            })
+        }
+
+        fn snapshot_value(&self) -> Value {
+            let mut v = self.snapshot_value_base();
+            if self.guard.is_active() {
+                let mut counters = serde_json::Map::new();
+                for &(k, x) in &self.guard.counter_pairs() {
+                    counters.insert(k.to_string(), num(x));
+                }
+                let sensors: Vec<Value> = self
+                    .guard
+                    .snapshot_rows()
+                    .iter()
+                    .map(|row| Value::Array(row.iter().map(|&x| num(x)).collect()))
+                    .collect();
+                if let Value::Object(map) = &mut v {
+                    map.insert(
+                        "guard".into(),
+                        serde_json::json!({
+                            "counters": Value::Object(counters),
+                            "sensors": Value::Array(sensors),
+                        }),
+                    );
+                }
+            }
+            v
+        }
+    }
+
 
     fn engine(n: usize, cfg: ServeConfig) -> ServeEngine {
         let net = NetworkBuilder::new(n).seed(5).build();
@@ -1821,14 +1945,15 @@ mod tests {
             e.tick().unwrap();
         }
         e.checkpoint_now().unwrap();
-        let before = serde_json::to_string(&e.snapshot_value());
+        let before = e.snapshot_bytes();
+        assert_eq!(std::fs::read(&snap_path).unwrap(), before);
+        assert_eq!(before, serde_json::to_string(&e.snapshot_value()).as_bytes());
         drop(e);
         let mut r =
             ServeEngine::resume(net, cfg, factory(), &snap_path, &wal_path).unwrap();
         // Detach the reopened WAL's effect on the comparison: the
         // restored state itself must encode identically.
-        let after = serde_json::to_string(&r.snapshot_value());
-        assert_eq!(before, after);
+        assert_eq!(before, r.snapshot_bytes());
         assert!(r.ledger_reconciles());
         r.tick().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
@@ -1919,7 +2044,9 @@ mod tests {
             e.tick().unwrap();
         }
         e.checkpoint_now().unwrap();
-        let before = serde_json::to_string(&e.snapshot_value());
+        let before = e.snapshot_bytes();
+        assert_eq!(std::fs::read(&snap_path).unwrap(), before);
+        assert_eq!(before, serde_json::to_string(&e.snapshot_value()).as_bytes());
         let rejected = e.ledger().rejected;
         let quarantined_now = e.quarantined_now();
         assert!(rejected > 0, "the scenario must actually reject");
@@ -1927,11 +2054,155 @@ mod tests {
         drop(e); // kill -9
 
         let r = ServeEngine::resume(net, cfg, factory(), &snap_path, &wal_path).unwrap();
-        let after = serde_json::to_string(&r.snapshot_value());
-        assert_eq!(before, after, "guard state must restore bit-identically");
+        assert_eq!(before, r.snapshot_bytes(), "guard state must restore bit-identically");
         assert_eq!(r.ledger().rejected, rejected);
         assert_eq!(r.quarantined_now(), quarantined_now);
         assert!(r.ledger_reconciles());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn armed_guard() -> crate::guard::GuardConfig {
+        crate::guard::GuardConfig {
+            rate_per_s: 5.0,
+            burst: 2.0,
+            replay_window_s: 10.0,
+            replay_limit: 2,
+            deficit_margin: 1.0,
+            quarantine_strikes: 2,
+            quarantine_s: 50.0,
+            parole_s: 10.0,
+        }
+    }
+
+    /// Asserts the direct encoder writes the `Value` encoding's bytes.
+    fn assert_encodes_like_value(e: &ServeEngine) {
+        let want = serde_json::to_string(&e.snapshot_value());
+        assert_eq!(String::from_utf8(e.snapshot_bytes()).unwrap(), want);
+    }
+
+    #[test]
+    fn snapshot_bytes_equal_the_value_encoding() {
+        let tiny = f64::from_bits(1); // the least subnormal
+        let odd = [0.0, -0.0, f64::INFINITY, f64::NAN, -f64::NAN, tiny, f64::MAX, 2.5];
+        for armed in [false, true] {
+            let guard = if armed { armed_guard() } else { Default::default() };
+            for empty in [None, Some(0), Some(1), Some(2)] {
+                for queued in [0, 4] {
+                    let cfg = ServeConfig { k: 3, queue_capacity: 4, guard, ..Default::default() };
+                    let mut e = engine(30, cfg);
+                    for c in (0..3).filter(|&c| Some(c) != empty) {
+                        for i in 0..3 {
+                            let x = odd[(c * 3 + i) % odd.len()];
+                            e.tours.restore(
+                                c,
+                                LiveStop {
+                                    seq: [1, u64::MAX, 99][i],
+                                    sensor: [0, u32::MAX, 7][i],
+                                    pos: e.net.sensors()[i].pos,
+                                    duration_s: x,
+                                    admitted_at_s: -x,
+                                    lifetime_s: tiny,
+                                    start_s: x,
+                                    finish_s: f64::NEG_INFINITY,
+                                    started: i == 0,
+                                },
+                            );
+                        }
+                    }
+                    for i in 0..queued {
+                        let req = QueuedRequest {
+                            seq: u64::MAX - i as u64,
+                            sensor: i as u32,
+                            deficit_j: odd[i],
+                            admitted_at_s: odd[i + 4],
+                            deferrals: [0, 1, u32::MAX, 9][i],
+                            lifetime_s: i as f64,
+                        };
+                        assert!(matches!(e.queue.offer(req), Offer::Enqueued));
+                    }
+                    if armed {
+                        for s in [3, 3, 3, 8, 29] {
+                            e.guard.check(s, Some(1.0e12), 0.01, 100.0, 1.5);
+                        }
+                    }
+                    e.tours.restore_anchor(2, wrsn_geom::Point::new(-0.0, tiny), f64::NAN);
+                    e.now_s = f64::INFINITY;
+                    assert_eq!(e.tours.chargers()[2].is_empty(), empty == Some(2));
+                    assert_eq!(e.queue.len(), queued);
+                    assert_eq!(e.guard.snapshot_rows().len(), if armed { 3 } else { 0 });
+                    assert_encodes_like_value(&e);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_bytes_equal_the_value_encoding_through_a_run() {
+        for guard in [Default::default(), armed_guard()] {
+            let cfg = ServeConfig {
+                k: 3,
+                tick_s: 1.0,
+                max_batch: 2,
+                admission_bound_s: 90.0,
+                guard,
+                ..ServeConfig::default()
+            };
+            let mut e = engine(40, cfg);
+            assert_encodes_like_value(&e);
+            for t in 0..60u32 {
+                for j in 0..t % 5 {
+                    e.submit((t * 7 + j * 11) % 40, Some(10.0 + f64::from(j) * 7.3)).unwrap();
+                }
+                e.tick().unwrap();
+                assert_encodes_like_value(&e);
+            }
+        }
+    }
+
+    /// A snapshot field that the engine holds as a `u32` is refused
+    /// when it is wider, instead of resuming as its low 32 bits.
+    #[test]
+    fn resume_refuses_u32_fields_past_u32() {
+        let dir = tmp_dir("u32");
+        let wal_path = dir.join("requests.wal");
+        let snap_path = dir.join("serve_checkpoint.json");
+        let cfg = ServeConfig { k: 1, ..ServeConfig::default() };
+        let net = NetworkBuilder::new(20).seed(3).build();
+        let mut e = ServeEngine::new(net.clone(), cfg, factory())
+            .unwrap()
+            .with_wal(&wal_path)
+            .unwrap()
+            .with_snapshot(&snap_path);
+        e.submit(3, Some(2.0)).unwrap();
+        e.tick().unwrap(); // sensor 3 becomes a tour stop
+        e.submit(4, Some(2.0)).unwrap(); // sensor 4 stays queued
+        e.checkpoint_now().unwrap();
+        drop(e);
+        let good: Value = serde_json::from_slice(&std::fs::read(&snap_path).unwrap()).unwrap();
+        // 2^32 + 3 truncates to sensor 3; 2^32 to zero deferrals.
+        for (section, path, what) in [
+            ("tours", &[0, 0, 1][..], "stop sensor"),
+            ("queue", &[0, 1], "queue sensor"),
+            ("queue", &[0, 4], "queue deferrals"),
+        ] {
+            let mut x = good[section].clone();
+            let mut at = &mut x;
+            for &i in path {
+                let Value::Array(a) = at else { unreachable!("{section} is nested arrays") };
+                at = &mut a[i];
+            }
+            *at = num((1 << 32) + at.as_u64().unwrap());
+            let mut v = good.clone();
+            if let Value::Object(m) = &mut v {
+                m.insert(section.into(), x);
+            }
+            std::fs::write(&snap_path, serde_json::to_string(&v)).unwrap();
+            match ServeEngine::resume(net.clone(), cfg, factory(), &snap_path, &wal_path) {
+                Err(ServeError::Snapshot(msg)) => assert!(msg.contains(what), "{msg}"),
+                Err(other) => panic!("{what}: wrong error: {other}"),
+                Ok(_) => panic!("{what} past u32 must be refused"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

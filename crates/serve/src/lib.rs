@@ -8,7 +8,8 @@
 //!
 //! - **Micro-batched admission** — requests arrive one at a time
 //!   ([`ServeEngine::submit`]), queue in a bounded most-critical-first
-//!   ingress queue, and are admitted on a tick against the
+//!   ingress queue, and are admitted on a tick — when a delay bound is
+//!   set, against the
 //!   [`AdmissionEstimator`](wrsn_core::bounds::AdmissionEstimator)
 //!   reach/work bound, with starvation-free escalation after
 //!   `max_deferrals` deferred batches.
@@ -67,6 +68,7 @@
 
 pub mod adversary;
 pub mod daemon;
+mod encode;
 mod engine;
 pub mod failpoint;
 pub mod guard;

@@ -115,13 +115,9 @@ impl LiveTours {
         self.edits_since_replan = 0;
     }
 
-    /// Iterates every live stop with its charger index (snapshotting,
-    /// estimator seeding). Per charger, stops come in tour order.
-    pub fn stops(&self) -> impl Iterator<Item = (usize, &LiveStop)> {
-        self.chargers
-            .iter()
-            .enumerate()
-            .flat_map(|(c, stops)| stops.iter().map(move |s| (c, s)))
+    /// Each charger's live stops, in tour order.
+    pub fn chargers(&self) -> &[Vec<LiveStop>] {
+        &self.chargers
     }
 
     fn travel_s(&self, a: Point, b: Point) -> f64 {
@@ -357,7 +353,7 @@ mod tests {
         t.insert_cheapest(pending(2, 50.0, 0.0, 30.0), 0.0);
         // Tour is now depot → (50,0) → (100,0): stop 1 starts after
         // 50 travel + 30 charge + 50 more travel.
-        let starts: Vec<(u64, f64)> = t.stops().map(|(_, s)| (s.seq, s.start_s)).collect();
+        let starts: Vec<(u64, f64)> = t.chargers().iter().flatten().map(|s| (s.seq, s.start_s)).collect();
         assert_eq!(starts, vec![(2, 50.0), (1, 130.0)]);
     }
 

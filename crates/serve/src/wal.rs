@@ -32,6 +32,7 @@ use std::path::{Path, PathBuf};
 
 use serde_json::Value;
 
+use crate::encode::push_u64;
 use crate::failpoint::{Failpoints, FaultKind, Site};
 
 /// One logged acceptance.
@@ -48,14 +49,18 @@ pub struct WalEntry {
 }
 
 impl WalEntry {
-    fn to_line(self) -> String {
-        format!(
-            "{{\"seq\": {}, \"t\": {}, \"sensor\": {}, \"deficit\": {}}}\n",
-            self.seq,
-            self.at_s.to_bits(),
-            self.sensor,
-            self.deficit_j.to_bits()
-        )
+    /// Appends the entry's log line: a JSON object with a space after
+    /// each colon and comma, the `f64` fields as `to_bits()`, and `\n`.
+    fn write_line(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"seq\": ");
+        push_u64(out, self.seq);
+        out.extend_from_slice(b", \"t\": ");
+        push_u64(out, self.at_s.to_bits());
+        out.extend_from_slice(b", \"sensor\": ");
+        push_u64(out, u64::from(self.sensor));
+        out.extend_from_slice(b", \"deficit\": ");
+        push_u64(out, self.deficit_j.to_bits());
+        out.extend_from_slice(b"}\n");
     }
 
     fn parse(line: &str) -> Option<WalEntry> {
@@ -264,8 +269,7 @@ impl Wal {
     /// append itself cannot fail.
     pub fn append(&mut self, at_s: f64, sensor: u32, deficit_j: f64) -> u64 {
         let seq = self.next_seq;
-        let entry = WalEntry { seq, at_s, sensor, deficit_j };
-        self.buf.extend_from_slice(entry.to_line().as_bytes());
+        WalEntry { seq, at_s, sensor, deficit_j }.write_line(&mut self.buf);
         self.pending += 1;
         self.next_seq += 1;
         seq
@@ -416,6 +420,20 @@ mod tests {
     use super::*;
     use crate::failpoint::ChaosConfig;
 
+    impl WalEntry {
+        /// The reference encoder [`WalEntry::write_line`] is held to: the
+        /// format string the log was first written with.
+        fn to_line(self) -> String {
+            format!(
+                "{{\"seq\": {}, \"t\": {}, \"sensor\": {}, \"deficit\": {}}}\n",
+                self.seq,
+                self.at_s.to_bits(),
+                self.sensor,
+                self.deficit_j.to_bits()
+            )
+        }
+    }
+
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("wrsn_wal_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -448,6 +466,41 @@ mod tests {
         wal.sync().unwrap();
         let (entries, _) = Wal::replay(&path).unwrap();
         assert_eq!(entries.len(), 3);
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn lines_equal_the_reference_encoding_and_replay_bit_exactly() {
+        let tiny = f64::from_bits(1); // the least subnormal
+        let odd = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -f64::NAN, tiny, 1.5];
+        let bits = |e: &WalEntry| (e.seq, e.at_s.to_bits(), e.sensor, e.deficit_j.to_bits());
+        let path = tmp("reference");
+        let mut wal = Wal::create(&path).unwrap();
+        let (mut want, mut reference) = (Vec::new(), String::new());
+        for (i, &at_s) in odd.iter().enumerate() {
+            for (j, &deficit_j) in odd.iter().enumerate() {
+                let sensor = [0, 7, u32::MAX][(i + j) % 3];
+                let seq = wal.append(at_s, sensor, deficit_j);
+                let entry = WalEntry { seq, at_s, sensor, deficit_j };
+                reference.push_str(&entry.to_line());
+                want.push(entry);
+            }
+        }
+        assert_eq!(want[0].seq, 1);
+        assert_eq!(wal.buf, reference.as_bytes(), "append must write the reference bytes");
+        wal.sync().unwrap();
+        // A log cannot number past u64::MAX, so its line goes through the
+        // encoder `append` calls, straight onto the synced log.
+        let last = WalEntry { seq: u64::MAX, at_s: f64::MAX, sensor: u32::MAX, deficit_j: tiny };
+        let mut line = Vec::new();
+        last.write_line(&mut line);
+        assert_eq!(line, last.to_line().as_bytes());
+        OpenOptions::new().append(true).open(&path).unwrap().write_all(&line).unwrap();
+        want.push(last);
+        let (got, torn) = Wal::replay(&path).unwrap();
+        assert!(!torn);
+        let got: Vec<_> = got.iter().map(bits).collect();
+        assert_eq!(got, want.iter().map(bits).collect::<Vec<_>>(), "replay is bit-exact");
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

@@ -1002,6 +1002,78 @@ fn sharded_appro_matches_pinned_digest() {
 /// Pinned by `print_digests`.
 const EXPECTED_SHARDED_APPRO: u64 = 0x6780_bcc1_d5aa_eff5;
 
+/// Folds every sensor's relay, out and transmit loads, its sink link,
+/// its consumption and its hop list (length, then targets in order).
+fn fold_routing(h: &mut u64, net: &wrsn_net::Network) {
+    let loads = net.routing();
+    for (v, s) in net.sensors().iter().enumerate() {
+        for x in [
+            loads.relay_in_bps[v],
+            loads.out_bps[v],
+            loads.tx_power_w[v],
+            loads.bs_link_m[v],
+            s.consumption_w,
+        ] {
+            fnv1a(h, &x.to_bits().to_le_bytes());
+        }
+        let hops = loads.next_hops(v);
+        fnv1a(h, &(hops.len() as u64).to_le_bytes());
+        for &u in hops.iter() {
+            fnv1a(h, &u64::from(u).to_le_bytes());
+        }
+    }
+}
+
+/// The routing build on three deployments, then one repair: 12,000
+/// uniform sensors on 447 m (serve_distinct's density), five Gaussian
+/// hotspots, and a zero-jitter grid whose sink distances tie exactly and
+/// whose points sit on routing-cell edges. The repair kills a seeded
+/// ~10 % of the uniform network and folds its `changed` list too.
+fn routing_digest() -> u64 {
+    use wrsn_net::Deployment;
+
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut uniform =
+        NetworkBuilder::new(12_000).seed(17).field(wrsn_geom::Rect::square(447.0)).build();
+    let clusters = NetworkBuilder::new(2_000)
+        .seed(18)
+        .deployment(Deployment::GaussianClusters { clusters: 5, sigma_m: 8.0 })
+        .build();
+    let grid =
+        NetworkBuilder::new(1_600).seed(19).deployment(Deployment::Grid { jitter_m: 0.0 }).build();
+    for net in [&uniform, &clusters, &grid] {
+        fold_routing(&mut h, net);
+    }
+    let mut state = 0x9e37_79b9_7f4a_7c15u64;
+    let alive: Vec<bool> = (0..uniform.sensors().len())
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            !state.is_multiple_of(10)
+        })
+        .collect();
+    let changed = uniform.repair_routing(&alive);
+    assert!(!changed.is_empty(), "the repair must reroute someone");
+    fnv1a(&mut h, &(changed.len() as u64).to_le_bytes());
+    for v in changed {
+        fnv1a(&mut h, &(v as u64).to_le_bytes());
+    }
+    fold_routing(&mut h, &uniform);
+    h
+}
+
+/// The energy model every instance starts from: Li & Mohapatra routing
+/// loads and the hop lists they split over, at build and after a repair.
+#[test]
+fn routing_loads_match_pinned_digest() {
+    let got = routing_digest();
+    assert_eq!(got, EXPECTED_ROUTING_LOADS, "routing digest drifted (got {got:#018x})");
+}
+
+/// Pinned by `print_digests`.
+const EXPECTED_ROUTING_LOADS: u64 = 0x97a1_4527_a91d_d0d8;
+
 /// Regenerates the tables above: `cargo test --test regression -- --ignored --nocapture`.
 #[test]
 #[ignore = "digest printer, run manually to refresh the pinned tables"]
@@ -1048,6 +1120,7 @@ fn print_digests() {
     println!("const EXPECTED_APPRO_SHARD: u64 = {:#018x};", appro_shard_digest());
     println!("const EXPECTED_KMINMAX_FIG3: u64 = {:#018x};", kminmax_fig3_digest());
     println!("const EXPECTED_SHARDED_APPRO: u64 = {:#018x};", sharded_appro_digest().0);
+    println!("const EXPECTED_ROUTING_LOADS: u64 = {:#018x};", routing_digest());
     let chaos = chaos_serve_digest(Some(disarmed_chaos()));
     println!("const EXPECTED_INERT_CHAOS: u64 = {chaos:#018x};");
     let inert = honest_soak(disarmed_adversary());

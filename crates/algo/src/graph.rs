@@ -201,6 +201,18 @@ mod tests {
     }
 
     #[test]
+    fn unit_disk_of_radius_zero_on_spread_points() {
+        // Radius 0 indexes with 1e-9 m cells; the grid widens them
+        // rather than allocating 5·10¹⁰ cells per axis.
+        let pts = [Point::new(0.0, 0.0), Point::new(50.0, 50.0), Point::new(50.0, 50.0)];
+        let g = Graph::unit_disk(&pts, 0.0);
+        assert_eq!(g.len(), 3);
+        assert!(g.has_edge(1, 2)); // coincident: distance 0 <= 0
+        assert!(!g.has_edge(0, 1));
+        assert!(!g.has_edge(0, 2));
+    }
+
+    #[test]
     fn unit_disk_matches_brute_force() {
         let pts: Vec<Point> = (0..60)
             .map(|i| Point::new((i * 17 % 40) as f64, (i * 31 % 40) as f64))

@@ -387,14 +387,12 @@ impl ProblemContext {
             let mut lists = vec![Vec::new(); pts.len()];
             if !pts.is_empty() {
                 let idx = GridIndex::build(pts, self.gamma_m);
+                let mut cov: Vec<u32> = Vec::new();
                 for (i, list) in lists.iter_mut().enumerate() {
-                    let mut cov: Vec<u32> = idx
-                        .within(pts[i], self.gamma_m)
-                        .into_iter()
-                        .map(|j| j as u32)
-                        .collect();
+                    cov.clear();
+                    idx.for_each_within(pts[i], self.gamma_m, |j| cov.push(j as u32));
                     cov.sort_unstable();
-                    *list = cov;
+                    *list = cov.clone();
                 }
             }
             lists

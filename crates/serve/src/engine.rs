@@ -292,6 +292,9 @@ pub enum ServeError {
     /// Another live daemon already answers on the requested socket
     /// path (binding would have deleted its socket out from under it).
     SocketInUse(String),
+    /// A WAL or snapshot carries sequence number `u64::MAX`, after
+    /// which no request can be numbered.
+    SequenceExhausted,
     /// The snapshot was taken for a different instance.
     InstanceMismatch {
         /// Sensors in the snapshot.
@@ -318,6 +321,9 @@ impl std::fmt::Display for ServeError {
                  refusing to steal its socket file"
             ),
             ServeError::Snapshot(e) => write!(f, "bad serve snapshot: {e}"),
+            ServeError::SequenceExhausted => {
+                write!(f, "request sequence number {} has no successor", u64::MAX)
+            }
             ServeError::InstanceMismatch { snapshot_n, snapshot_k, n, k } => write!(
                 f,
                 "snapshot is for n={snapshot_n} k={snapshot_k}, \
@@ -718,13 +724,14 @@ impl ServeEngine {
                 // Appends only buffer (group commit makes them durable
                 // at the tick boundary), so acceptance cannot fail on
                 // I/O here.
+                let next = seq_after(wal.next_seq())?;
                 let seq = wal.append(at_s, sensor, deficit_j);
-                self.next_seq = seq + 1;
+                self.next_seq = next;
                 seq
             }
             _ => {
                 let seq = seq_hint.unwrap_or(self.next_seq);
-                self.next_seq = self.next_seq.max(seq + 1);
+                self.next_seq = self.next_seq.max(seq_after(seq)?);
                 seq
             }
         };
@@ -1522,14 +1529,14 @@ impl ServeEngine {
                 // post-snapshot completion was lost with the crash):
                 // the replayed request collapses as a duplicate.
                 engine.ledger.duplicates += 1;
-                engine.next_seq = engine.next_seq.max(entry.seq + 1);
+                engine.next_seq = engine.next_seq.max(seq_after(entry.seq)?);
                 continue;
             }
             engine.accept(Some(entry.seq), entry.at_s, entry.sensor, entry.deficit_j)?;
         }
         engine.replaying = false;
         if let Some(last) = entries.last() {
-            engine.next_seq = engine.next_seq.max(last.seq + 1);
+            engine.next_seq = engine.next_seq.max(seq_after(last.seq)?);
         }
         engine.wal = Some(
             Wal::open_append(wal_path, engine.next_seq)
@@ -1537,6 +1544,11 @@ impl ServeEngine {
         );
         Ok(engine)
     }
+}
+
+/// The sequence number after `seq`, refused at the end of the space.
+fn seq_after(seq: u64) -> Result<u64, ServeError> {
+    seq.checked_add(1).ok_or(ServeError::SequenceExhausted)
 }
 
 fn field<'v>(v: &'v Value, key: &str) -> Result<&'v Value, ServeError> {
@@ -2157,6 +2169,34 @@ mod tests {
                 assert_encodes_like_value(&e);
             }
         }
+    }
+
+    /// A WAL line at the last sequence number is refused with a typed
+    /// error instead of overflowing the numbering; one just below it
+    /// resumes, and the request after it is refused the same way.
+    #[test]
+    fn resume_refuses_the_end_of_the_sequence_space() {
+        let dir = tmp_dir("seqmax");
+        let wal_path = dir.join("requests.wal");
+        let snap_path = dir.join("serve_checkpoint.json");
+        let cfg = ServeConfig { k: 1, ..ServeConfig::default() };
+        let net = NetworkBuilder::new(20).seed(1).build();
+        let line = |seq: u64| {
+            let (t, deficit) = (0f64.to_bits(), 2f64.to_bits());
+            format!("{{\"seq\": {seq}, \"t\": {t}, \"sensor\": 3, \"deficit\": {deficit}}}\n")
+        };
+        std::fs::write(&wal_path, line(u64::MAX)).unwrap();
+        match ServeEngine::resume(net.clone(), cfg, factory(), &snap_path, &wal_path) {
+            Err(ServeError::SequenceExhausted) => {}
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("a WAL at seq u64::MAX must be refused"),
+        }
+        std::fs::write(&wal_path, line(u64::MAX - 1)).unwrap();
+        let mut e = ServeEngine::resume(net, cfg, factory(), &snap_path, &wal_path).unwrap();
+        assert_eq!(e.ledger.admitted, 1);
+        assert!(matches!(e.submit(4, Some(2.0)), Err(ServeError::SequenceExhausted)));
+        assert_eq!(e.ledger.admitted, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A snapshot field that the engine holds as a `u32` is refused

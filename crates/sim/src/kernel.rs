@@ -1134,7 +1134,9 @@ pub(crate) mod tests {
         let routing = kn.net.routing();
         let (child, relay) = (0..40)
             .filter(|&i| i != first)
-            .find_map(|i| routing.next_hops[i].iter().find(|h| h.0 != first).map(|h| (i, h.0)))
+            .find_map(|i| {
+                routing.next_hops(i).iter().map(|&u| u as usize).find(|&u| u != first).map(|u| (i, u))
+            })
             .expect("some sensor relays through another");
         let rate = kn.net.sensors()[child].consumption_w;
         kn.net.sensors_mut()[relay].residual_j = 0.0;

@@ -20,9 +20,10 @@
 //!
 //! Steps 1–2 read one flat table over the nodes with the depot as its
 //! last index. [`min_max_ktours_extended`] takes that table as it is —
-//! the planners fill it in one pass from points — while
-//! [`min_max_ktours`] and [`min_max_ktours_with_matrix`] copy a node
-//! table and depot legs into one first.
+//! the planners fill it in one pass from points, so it is symmetric
+//! and Or-opt reads its rows — while [`min_max_ktours`] and
+//! [`min_max_ktours_with_matrix`] copy a node table and depot legs into
+//! one first, which Or-opt reads as it was given.
 
 use crate::tsp;
 use wrsn_geom::{DistanceMatrix, Metric, VirtualNodeMetric};
@@ -197,6 +198,10 @@ impl<M: Metric + ?Sized> Metric for Nodes<'_, M> {
     #[inline]
     fn at(&self, i: usize, j: usize) -> f64 {
         self.0.at(i, j)
+    }
+
+    fn symmetric(&self) -> bool {
+        self.0.symmetric()
     }
 }
 

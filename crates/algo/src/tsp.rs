@@ -7,9 +7,10 @@
 //!
 //! - [`nearest_neighbor`]: classic greedy, O(n²);
 //! - [`greedy_edge`]: cheapest-edge matching into a tour: one O(n²)
-//!   pass keys every edge, and only the edges below a sampled limit and
-//!   the pairs that can still join two fragments are sorted (see its
-//!   edge order contract); O(n² log n) in the worst case;
+//!   pass compares every weight with a sampled limit, and only the edges
+//!   at or below it and the pairs that can still join two fragments are
+//!   keyed and sorted (see its edge order contract); O(n² log n) in the
+//!   worst case;
 //! - [`mst_preorder`]: MST-doubling shortcut (the textbook metric
 //!   2-approximation), O(n²);
 //! - [`two_opt`]: segment-reversal descent;
@@ -23,7 +24,10 @@
 //! [`DistanceMatrix`](wrsn_geom::DistanceMatrix) work interchangeably —
 //! with identical float operations, hence identical tours. The flat
 //! table is the fast one: [`crate::ktour`] builds its tour on one, with
-//! the depot as the last node.
+//! the depot as the last node. Or-opt reads a table's rows where the
+//! column holds the same bits ([`Metric::symmetric`]).
+
+use std::ops::Range;
 
 use wrsn_geom::Metric;
 
@@ -80,18 +84,19 @@ const PREFIX_PER_NODE: usize = 16;
 /// and edges are taken in increasing `(weight, i, j)` order, where
 /// `-0.0` equals `+0.0`. A NaN weight panics.
 ///
-/// One pass keys every edge and keeps those whose key is at or below a
-/// limit sampled to hold about the `16n` smallest; only the kept edges
-/// are sorted and added. If the path is still open, the *survivors* —
+/// One pass keeps the edges whose key is at or below a limit sampled to
+/// hold about the `16n` smallest; it compares each weight with the
+/// limit's weight and keys only those at or below it. Only the kept
+/// edges are sorted and added. If the path is still open, the *survivors* —
 /// the pairs of nodes of degree < 2 that lie in different fragments —
 /// are sorted and added next. No limit can change the tour: the kept
 /// edges are every edge up to some key, so each edge left out comes
 /// after all of them, and an edge that fails the survivor test would be
 /// rejected at any later point too, because degrees only grow and
 /// fragments only merge. So the accepted edges are those of sorting
-/// every edge; the limit only sizes the sort. O(n²) to key the edges,
-/// plus sorting the kept edges and the survivors: O(n² log n) in the
-/// worst case, as when many weights tie.
+/// every edge; the limit only sizes the sort. O(n²) to compare the
+/// weights, plus keying and sorting the kept edges and the survivors:
+/// O(n² log n) in the worst case, as when many weights tie.
 ///
 /// # Panics
 ///
@@ -113,16 +118,23 @@ fn greedy_edge_below<M: Metric + ?Sized>(dist: &M, limit: u64) -> Vec<usize> {
     forest.walk()
 }
 
-/// Keys every edge, in one pass, and returns those whose key is at most
-/// `limit`, sorted.
+/// Returns the edges whose key is at most `limit`, sorted. One pass
+/// compares every weight with the limit's weight ([`key_weight`]), and
+/// keys and tests exactly only the weights at or below it: `order_key`
+/// is monotone, so no weight above it has a key at or below the limit.
+/// A NaN passes the comparison, so `order_key` still rejects it.
 fn kept_edges<M: Metric + ?Sized>(dist: &M, limit: u64) -> Vec<u128> {
     let n = dist.len();
+    let wmax = key_weight(limit);
     let mut kept = Vec::with_capacity((PREFIX_PER_NODE * n).min(n * (n - 1) / 2));
     for i in 0..n {
         for j in (i + 1)..n {
-            let key = order_key(dist.at(i, j));
-            if key <= limit {
-                kept.push(edge(key, i, j));
+            let w = dist.at(i, j);
+            if w <= wmax || w.is_nan() {
+                let key = order_key(w);
+                if key <= limit {
+                    kept.push(edge(key, i, j));
+                }
             }
         }
     }
@@ -175,6 +187,20 @@ fn order_key(w: f64) -> u64 {
         bits | (1 << 63)
     } else {
         !bits
+    }
+}
+
+/// The inverse of [`order_key`]: the weight whose key is `key` (`+0.0`
+/// for the key both zeros share). A key above `+∞`'s, such as
+/// `u64::MAX`, gives `+∞`, and one below `−∞`'s gives a NaN, which no
+/// weight compares at or below: every non-NaN weight whose key is at
+/// most `key` is at most the result.
+fn key_weight(key: u64) -> f64 {
+    const INF_KEY: u64 = 0x7ff0_0000_0000_0000 | 1 << 63;
+    match key {
+        INF_KEY.. => f64::INFINITY,
+        _ if key >> 63 == 1 => f64::from_bits(key ^ 1 << 63),
+        _ => f64::from_bits(!key),
     }
 }
 
@@ -369,11 +395,18 @@ pub fn two_opt<M: Metric + ?Sized>(dist: &M, tour: &mut [usize], max_passes: usi
 /// three edges. So a chain that had no improving insertion is re-checked
 /// only at edges created since, while it keeps the same neighbours: the
 /// moves are those of a full rescan.
+///
+/// Inserting the chain into edge `(a, b)` reads `dist.at(a, s0)`, the
+/// column of `s0`: on a flat table, a line of another row for every
+/// candidate. A [`Metric::symmetric`] table has the same bits in row
+/// `s0`, which the scan reads instead, so one chain's scan stays within
+/// two rows (`s0`'s and `s1`'s).
 pub fn or_opt<M: Metric + ?Sized>(dist: &M, tour: &mut Vec<usize>, max_passes: usize) {
     let n = tour.len();
     if n < 5 {
         return;
     }
+    let rows = dist.symmetric();
     // As in `two_opt`, `t[n]` repeats `t[0]` and `edge[p]` is
     // `dist.at(t[p], t[p + 1])`; `pos` inverts `t`.
     let mut t = std::mem::take(tour);
@@ -401,8 +434,6 @@ pub fn or_opt<M: Metric + ?Sized>(dist: &M, tour: &mut Vec<usize>, max_passes: u
                     continue;
                 }
                 let bar = removal_gain - 1e-12;
-                let improves =
-                    |j: usize| dist.at(t[j], s0) + dist.at(s1, t[j + 1]) - edge[j] < bar;
                 // Insertion edges (t[j], t[j + 1]) other than the chain's
                 // own, its border edges and the edge after `q`.
                 let before = if i == 0 { 0..0 } else { 0..i - 1 };
@@ -411,7 +442,8 @@ pub fn or_opt<M: Metric + ?Sized>(dist: &M, tour: &mut Vec<usize>, max_passes: u
                 chain[0] = p;
                 chain[1..seg_len + 2].copy_from_slice(&t[i..=i + seg_len]);
                 let memo = &mut checked[(seg_len - 1) * ids + s0];
-                let hit = if memo.0 == chain {
+                let memo_hit = memo.0 == chain;
+                if memo_hit {
                     fresh.clear();
                     fresh.extend(
                         added[memo.1..]
@@ -422,9 +454,17 @@ pub fn or_opt<M: Metric + ?Sized>(dist: &M, tour: &mut Vec<usize>, max_passes: u
                     );
                     fresh.sort_unstable();
                     fresh.dedup();
-                    fresh.iter().copied().find(|&j| improves(j))
+                }
+                let candidates = memo_hit.then_some(&fresh[..]);
+                // One scan loop per read order, chosen once per chain.
+                let hit = if rows {
+                    first_insertion(candidates, before, after, |j| {
+                        dist.at(s0, t[j]) + dist.at(s1, t[j + 1]) - edge[j] < bar
+                    })
                 } else {
-                    before.clone().chain(after.clone()).find(|&j| improves(j))
+                    first_insertion(candidates, before, after, |j| {
+                        dist.at(t[j], s0) + dist.at(s1, t[j + 1]) - edge[j] < bar
+                    })
                 };
                 let Some(j) = hit else {
                     *memo = (chain, added.len());
@@ -455,6 +495,22 @@ pub fn or_opt<M: Metric + ?Sized>(dist: &M, tour: &mut Vec<usize>, max_passes: u
     }
     t.pop();
     *tour = t;
+}
+
+/// The first insertion edge `j` for which `improves(j)`: among
+/// `candidates` when given (a chain's memo hit), else over `before`,
+/// then `after`.
+#[inline]
+fn first_insertion(
+    candidates: Option<&[usize]>,
+    before: Range<usize>,
+    after: Range<usize>,
+    mut improves: impl FnMut(usize) -> bool,
+) -> Option<usize> {
+    match candidates {
+        Some(fresh) => fresh.iter().copied().find(|&j| improves(j)),
+        None => before.chain(after).find(|&j| improves(j)),
+    }
 }
 
 /// Builds a good closed tour: greedy-edge construction followed by 2-opt
@@ -496,7 +552,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
-    use wrsn_geom::{dist_matrix, Point};
+    use wrsn_geom::{dist_matrix, DistanceMatrix, Point};
 
     fn ring(n: usize) -> Vec<Point> {
         (0..n)
@@ -628,7 +684,150 @@ mod tests {
         }
     }
 
+    /// The key pass `kept_edges` replaced: every edge keyed and tested.
+    fn kept_edges_unfiltered<M: Metric + ?Sized>(dist: &M, limit: u64) -> Vec<u128> {
+        let n = dist.len();
+        let mut kept = Vec::new();
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let key = order_key(dist.at(i, j));
+                if key <= limit {
+                    kept.push(edge(key, i, j));
+                }
+            }
+        }
+        kept.sort_unstable();
+        kept
+    }
+
+    /// Weights a greedy-edge table may hold at the edges of the float
+    /// line: both zeros, negatives, both infinities, subnormals of both
+    /// signs and the extreme normals.
+    const SPECIAL: [f64; 12] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE / 4.0,
+        -f64::MIN_POSITIVE / 4.0,
+        f64::MAX,
+        f64::MIN,
+    ];
+
+    /// An `n × n` table (asymmetric, as greedy-edge reads only `i < j`)
+    /// drawing each weight from `SPECIAL`, from a few small integers
+    /// (ties) or from a uniform range, one third each.
+    fn special_matrix(n: usize, seed: u64) -> Vec<Vec<f64>> {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                (0..n)
+                    .map(|_| match rng.gen_range(0..3u8) {
+                        0 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+                        1 => f64::from(rng.gen_range(-2..3i8)),
+                        _ => rng.gen_range(-1e3..1e3),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Point sets of four shapes: a uniform scatter, tight clusters, an
+    /// integer grid (tied weights) and a few sites repeated (coincident
+    /// points).
+    fn shaped_points(shape: u8, n: usize, seed: u64) -> Vec<Point> {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let sites: Vec<Point> = (0..4)
+            .map(|_| Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)))
+            .collect();
+        (0..n)
+            .map(|_| match shape {
+                0 => Point::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0)),
+                1 => {
+                    let c = sites[rng.gen_range(0..sites.len())];
+                    Point::new(c.x + rng.gen_range(-2.0..2.0), c.y + rng.gen_range(-2.0..2.0))
+                }
+                2 => Point::new(rng.gen_range(0..9u32).into(), rng.gen_range(0..9u32).into()),
+                _ => sites[rng.gen_range(0..sites.len())],
+            })
+            .collect()
+    }
+
     proptest! {
+        /// Comparing weights first keeps exactly the edges the full key
+        /// pass keeps, at no limit, the sampled one, the key of some
+        /// edge, an arbitrary key and every edge.
+        #[test]
+        fn prefiltered_kept_edges_equal_the_full_key_pass(
+            n in 1usize..80,
+            seed in any::<u64>(),
+            arbitrary in any::<u64>(),
+            row in any::<usize>(),
+            column in any::<usize>(),
+        ) {
+            let dist = special_matrix(n, seed);
+            let some_edge = if n < 2 {
+                0
+            } else {
+                let i = row % (n - 1);
+                order_key(dist[i][i + 1 + column % (n - 1 - i)])
+            };
+            for limit in [0, prefix_limit(&dist), some_edge, arbitrary, u64::MAX] {
+                prop_assert_eq!(
+                    kept_edges(&dist, limit),
+                    kept_edges_unfiltered(&dist, limit),
+                    "limit {:#x}", limit
+                );
+            }
+        }
+
+        /// `key_weight` inverts `order_key` on every non-NaN weight.
+        #[test]
+        fn key_weight_inverts_order_key(bits in any::<u64>(), special in 0..SPECIAL.len()) {
+            for w in [f64::from_bits(bits), SPECIAL[special]] {
+                if !w.is_nan() {
+                    let key = order_key(w);
+                    prop_assert_eq!(order_key(key_weight(key)), key, "{}", w);
+                }
+            }
+        }
+
+        /// On a point-filled table Or-opt reads rows; on the same table
+        /// copied by `from_metric` it reads columns. Both make the same
+        /// moves: on whole tours from random and greedy starts, on
+        /// sub-tours over some of the points, and inside `build_tour`.
+        #[test]
+        fn or_opt_reads_rows_of_point_tables_as_it_reads_columns(
+            shape in 0u8..4,
+            n in 5usize..90,
+            seed in any::<u64>(),
+            speed in 0.1f64..10.0,
+            passes in 1usize..120,
+        ) {
+            let pts = shaped_points(shape, n, seed);
+            let rows = DistanceMatrix::travel_times(&pts, speed);
+            let columns = DistanceMatrix::from_metric(&rows);
+            prop_assert!(rows.symmetric() && !columns.symmetric());
+            let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0x5eed);
+            let mut shuffled: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+            let sub: Vec<usize> =
+                shuffled.iter().copied().filter(|_| rng.gen_bool(0.7)).collect();
+            for start in [shuffled, greedy_edge(&rows), sub] {
+                let (mut got, mut want) = (start.clone(), start);
+                or_opt(&rows, &mut got, passes);
+                or_opt(&columns, &mut want, passes);
+                prop_assert_eq!(got, want);
+            }
+            prop_assert_eq!(build_tour(&rows, passes), build_tour(&columns, passes));
+        }
+
         /// The limit sizes the sort and decides nothing: keeping no edge,
         /// the sampled limit's edges, or every edge gives one tour.
         #[test]

@@ -477,8 +477,7 @@ impl ProblemContext {
         &self,
         nodes: &[usize],
     ) -> Result<DistanceMatrix, ContextError> {
-        let pts = self.table_points(nodes)?;
-        Ok(DistanceMatrix::from_fn(pts.len(), |a, b| pts[a].dist(pts[b]) / self.speed_mps))
+        Ok(DistanceMatrix::travel_times(&self.table_points(nodes)?, self.speed_mps))
     }
 
     /// Travel-time matrix over `nodes` **plus the depot as the last
@@ -490,8 +489,11 @@ impl ProblemContext {
     /// [`travel_time_matrix_for`](Self::travel_time_matrix_for), the
     /// depot row and column are
     /// [`depot_travel_time`](Self::depot_travel_time) (`Point::dist` is
-    /// bit-symmetric), and the diagonal is `+0.0` — the bits of that
-    /// table with the depot appended as a `wrsn_geom::VirtualNodeMetric`.
+    /// bit-symmetric), and the diagonal is `+0.0` at a positive, finite
+    /// speed — the bits of that table with the depot appended as a
+    /// `wrsn_geom::VirtualNodeMetric`. Like every table filled from
+    /// points, it is `symmetric()`, so the tour kernel's Or-opt reads
+    /// its rows.
     ///
     /// # Errors
     ///
@@ -502,8 +504,7 @@ impl ProblemContext {
     ) -> Result<(DistanceMatrix, usize), ContextError> {
         let mut pts = self.table_points(nodes)?;
         pts.push(self.depot);
-        let table = DistanceMatrix::from_fn(pts.len(), |a, b| pts[a].dist(pts[b]) / self.speed_mps);
-        Ok((table, nodes.len()))
+        Ok((DistanceMatrix::travel_times(&pts, self.speed_mps), nodes.len()))
     }
 
     /// The points of `nodes` for a table over them, after checking every

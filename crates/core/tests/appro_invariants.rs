@@ -1,8 +1,15 @@
 //! Structural invariants of Algorithm 1's intermediate artifacts,
 //! checked against the definitions in §IV of the paper.
 
-use wrsn_core::{conflict, Appro, ChargingProblem, PlannerConfig};
-use wrsn_net::{InitialCharge, NetworkBuilder};
+use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha12Rng;
+use wrsn_algo::MisOrder;
+use wrsn_core::{
+    conflict, Appro, ChargingParams, ChargingProblem, ChargingTarget, PlannerConfig,
+};
+use wrsn_geom::Point;
+use wrsn_net::{InitialCharge, NetworkBuilder, SensorId};
 
 fn problem(n: usize, k: usize, seed: u64) -> ChargingProblem {
     let net = NetworkBuilder::new(n)
@@ -144,5 +151,66 @@ fn skipped_candidates_are_genuinely_redundant() {
             }
         }
         assert!(covered.iter().all(|&c| c), "seed {seed}: some sensor uncovered");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The three construction facts of Algorithm 1's lines 1–4 on
+    /// generated instances, under every MIS order: `S_I` is independent
+    /// in `G_c` (no two members within `γ`); the coverages of `V'_H` are
+    /// pairwise disjoint; and every `u ∈ S_I \ V'_H` has an
+    /// `H`-neighbour in `V'_H` (a core node sharing a covered sensor),
+    /// which the insertion phase needs to place `u`. Fields of 8–120 m
+    /// hold the instances from a few sensors per disk to isolated ones.
+    #[test]
+    fn appro_construction_facts_hold_on_generated_instances(
+        n in 1usize..220,
+        side in 8.0f64..120.0,
+        k in 1usize..5,
+        order in 0usize..4,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let targets: Vec<ChargingTarget> = (0..n)
+            .map(|i| ChargingTarget {
+                id: SensorId(i as u32),
+                pos: Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)),
+                charge_duration_s: rng.gen_range(0.0..5_400.0),
+                residual_lifetime_s: f64::INFINITY,
+            })
+            .collect();
+        let depot = Point::new(side / 2.0, side / 2.0);
+        let p = ChargingProblem::new(depot, targets, k, ChargingParams::default()).unwrap();
+        let mis_order = [
+            MisOrder::ByIndex,
+            MisOrder::ByDegreeAsc,
+            MisOrder::ByDegreeDesc,
+            MisOrder::Random(rng.gen()),
+        ][order];
+        let config = PlannerConfig { mis_order, ..PlannerConfig::default() };
+        let report = Appro::new(config).plan_detailed(&p).unwrap();
+        let gamma = p.params().gamma_m;
+        let pos = |v: usize| p.targets()[v].pos;
+        for (i, &a) in report.mis.iter().enumerate() {
+            for &b in &report.mis[i + 1..] {
+                prop_assert!(pos(a).dist(pos(b)) > gamma, "S_I members {} and {} are adjacent", a, b);
+            }
+        }
+        for (i, &a) in report.core.iter().enumerate() {
+            for &b in &report.core[i + 1..] {
+                prop_assert!(
+                    conflict::coverage_overlap(&p, a, b).is_none(),
+                    "core nodes {} and {} share coverage", a, b
+                );
+            }
+        }
+        for &u in report.mis.iter().filter(|u| !report.core.contains(u)) {
+            prop_assert!(
+                report.core.iter().any(|&v| conflict::coverage_overlap(&p, u, v).is_some()),
+                "{} in S_I \\ V'_H has no H-neighbour in V'_H", u
+            );
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! min–max tour splitter, the planners, the simulators — consumes
 //! pairwise distances. A tour kernel reads the same pairs many times, so
 //! [`DistanceMatrix`] computes each entry once into a flat row-major
-//! table. A kernel's table with the depot appended as the last index is
-//! filled the same way, in one [`DistanceMatrix::from_fn`] pass;
+//! table. Every table built from points, the kernel's travel times with
+//! the depot appended as the last point included, is filled the same
+//! way, one row at a time, in one [`DistanceMatrix::travel_times`] pass;
 //! [`VirtualNodeMetric`] is that layout as a borrowed view over a table
 //! without the depot.
 //!
@@ -15,24 +16,33 @@
 //! hand whichever representation they already have without a copy.
 //!
 //! Bit-exactness contract: entry `(i, j)` of
-//! `DistanceMatrix::from_points` is `pts[i].dist(pts[j])`, computed for
-//! each ordered pair, with a `+0.0` diagonal. `Point::dist` is
-//! bit-symmetric (negating both coordinate deltas leaves their squares
-//! unchanged), so the table equals [`crate::dist_matrix`]'s mirrored one
-//! bit for bit.
+//! `DistanceMatrix::travel_times(pts, speed)` is
+//! `pts[i].dist(pts[j]) / speed`, computed for each ordered pair, the
+//! diagonal included; for finite points and a positive speed the
+//! diagonal is `+0.0`. `Point::dist` is bit-symmetric (negating both
+//! coordinate deltas leaves their squares unchanged), so the table is
+//! symmetric bit for bit ([`Metric::symmetric`]) and
+//! `DistanceMatrix::from_points`, the table at speed `1.0`, equals
+//! [`crate::dist_matrix`]'s mirrored one bit for bit.
 
 use crate::Point;
 
-/// Hard ceiling on dense materialization: [`DistanceMatrix::from_points`]
-/// refuses point sets larger than this (the flat table would exceed
-/// 32 GiB). Callers that might legitimately exceed it must stay on an
-/// on-demand distance source.
+/// Hard ceiling on dense materialization: [`DistanceMatrix::travel_times`]
+/// and [`DistanceMatrix::from_points`] refuse point sets larger than this
+/// (the flat table would exceed 32 GiB). Callers that might legitimately
+/// exceed it must stay on an on-demand distance source.
 pub const DENSE_HARD_LIMIT: usize = 65_536;
 
-/// Index-based symmetric distance lookup.
+/// Index-based distance lookup.
 ///
 /// `at(i, j)` must be defined for all `i, j < len()`. Implementations
 /// are expected (not enforced) to be symmetric with a zero diagonal.
+///
+/// Symmetry contract: [`symmetric`](Metric::symmetric) returns `true`
+/// only when `at(i, j)` and `at(j, i)` have the same bits for every
+/// pair by construction, so a reader may take either. The provided
+/// method returns `false`, which is always sound: a reader then reads
+/// the pair the way it was asked for.
 pub trait Metric {
     /// Number of indexed points.
     fn len(&self) -> usize;
@@ -43,6 +53,13 @@ pub trait Metric {
     /// True iff the metric indexes no points.
     fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// True iff `at(i, j).to_bits() == at(j, i).to_bits()` for every
+    /// pair by construction (see the trait docs); `false` unless an
+    /// implementation guarantees it.
+    fn symmetric(&self) -> bool {
+        false
     }
 }
 
@@ -66,10 +83,13 @@ impl Metric for Vec<Vec<f64>> {
     }
 }
 
-/// A dense symmetric pairwise-distance table in one flat allocation.
+/// A dense pairwise-distance table in one flat allocation.
 ///
 /// Stores the full `n × n` grid (both triangles) so `at` is a single
-/// multiply-add index with no branch on `i ≶ j`.
+/// multiply-add index with no branch on `i ≶ j`. A table filled from
+/// points is [`symmetric`](Metric::symmetric); a
+/// [`from_metric`](DistanceMatrix::from_metric) copy is not assumed to
+/// be.
 ///
 /// # Example
 ///
@@ -86,12 +106,17 @@ impl Metric for Vec<Vec<f64>> {
 pub struct DistanceMatrix {
     n: usize,
     data: Vec<f64>,
+    /// Set when filled from points, where `at(i, j)` and `at(j, i)` are
+    /// the same bits ([`Metric::symmetric`]).
+    symmetric: bool,
 }
 
 impl DistanceMatrix {
     /// Builds the Euclidean distance matrix of `pts`: entry `(i, j)` is
     /// `pts[i].dist(pts[j])`, matching [`crate::dist_matrix`] bit for
-    /// bit (see the module docs).
+    /// bit (see the module docs). The table of
+    /// [`travel_times`](Self::travel_times) at speed `1.0`: dividing by
+    /// one changes no bit.
     ///
     /// # Panics
     ///
@@ -99,41 +124,45 @@ impl DistanceMatrix {
     /// failure, before any allocation, instead of a doomed multi-GiB one.
     /// Keep huge instances on an on-demand distance source.
     pub fn from_points(pts: &[Point]) -> DistanceMatrix {
+        Self::travel_times(pts, 1.0)
+    }
+
+    /// Builds the travel-time table of `pts` at `speed`: entry `(i, j)`
+    /// is `pts[i].dist(pts[j]) / speed`, for every ordered pair. Each row
+    /// is one pass over the points with no index arithmetic, so the
+    /// square roots and divisions vectorize, and each entry is written
+    /// once, in order. The diagonal is `p.dist(p) / speed`, which is
+    /// `+0.0` for a finite point and a positive speed. The table is
+    /// [`symmetric`](Metric::symmetric): `Point::dist` is bit-symmetric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pts.len()` exceeds [`DENSE_HARD_LIMIT`], before any
+    /// allocation.
+    pub fn travel_times(pts: &[Point], speed: f64) -> DistanceMatrix {
         assert!(
             pts.len() <= DENSE_HARD_LIMIT,
             "point set too large for a dense matrix; use a sparse distance source"
         );
-        Self::from_fn(pts.len(), |i, j| pts[i].dist(pts[j]))
-    }
-
-    /// Builds an `n × n` matrix from an entry function, row by row:
-    /// `f(i, j)` is called once for every ordered pair `i ≠ j`, in
-    /// row-major order, and the diagonal is `+0.0` without a call. Each
-    /// entry is written once, in order, so filling a table larger than
-    /// the cache makes no strided writes. The result is symmetric iff
-    /// `f` is.
-    pub fn from_fn<F: FnMut(usize, usize) -> f64>(n: usize, mut f: F) -> DistanceMatrix {
-        let mut data = Vec::with_capacity(n * n);
-        for i in 0..n {
-            data.extend((0..i).map(|j| f(i, j)));
-            data.push(0.0);
-            data.extend((i + 1..n).map(|j| f(i, j)));
+        let mut data = Vec::with_capacity(pts.len() * pts.len());
+        for &p in pts {
+            data.extend(pts.iter().map(|&q| p.dist(q) / speed));
         }
-        DistanceMatrix { n, data }
+        DistanceMatrix { n: pts.len(), data, symmetric: true }
     }
 
     /// Copies any [`Metric`] into a flat table entry by entry — all `n²`
     /// entries, the diagonal included, with no symmetry assumed (the copy
-    /// is symmetric only if `m` is) — so `at(i, j)` returns the source's
-    /// value bit for bit, at the cost of one index multiply-add instead
-    /// of the source's own lookup.
+    /// is not [`symmetric`](Metric::symmetric), whatever `m` is) — so
+    /// `at(i, j)` returns the source's value bit for bit, at the cost of
+    /// one index multiply-add instead of the source's own lookup.
     pub fn from_metric<M: Metric + ?Sized>(m: &M) -> DistanceMatrix {
         let n = m.len();
         let mut data = Vec::with_capacity(n * n);
         for i in 0..n {
             data.extend((0..n).map(|j| m.at(i, j)));
         }
-        DistanceMatrix { n, data }
+        DistanceMatrix { n, data, symmetric: false }
     }
 
     /// Row `i` as a slice (distances from `i` to every node).
@@ -150,6 +179,10 @@ impl Metric for DistanceMatrix {
     #[inline]
     fn at(&self, i: usize, j: usize) -> f64 {
         self.data[i * self.n + j]
+    }
+
+    fn symmetric(&self) -> bool {
+        self.symmetric
     }
 }
 
@@ -201,6 +234,7 @@ impl<M: Metric + ?Sized> Metric for VirtualNodeMetric<'_, M> {
 mod tests {
     use super::*;
     use crate::dist_matrix;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
 
@@ -234,29 +268,66 @@ mod tests {
         }
     }
 
-    #[test]
-    fn from_fn_calls_both_orders_row_major_and_never_the_diagonal() {
-        let n = 5;
-        let mut calls = Vec::new();
-        // Asymmetric, and -0.0 on the diagonal should it ever be asked.
-        let m = DistanceMatrix::from_fn(n, |i, j| {
-            calls.push((i, j));
-            if i == j {
-                -0.0
-            } else {
-                (10 * i + j) as f64
-            }
-        });
-        let off_diagonal: Vec<(usize, usize)> =
-            (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).filter(|(i, j)| i != j).collect();
-        assert_eq!(calls, off_diagonal);
+    /// The fill `travel_times` replaced: one call of an index closure
+    /// per off-diagonal entry, row by row, and a `+0.0` diagonal written
+    /// without one.
+    fn indexed_fill(pts: &[Point], speed: f64) -> Vec<f64> {
+        let n = pts.len();
+        let f = |i: usize, j: usize| pts[i].dist(pts[j]) / speed;
+        let mut data = Vec::with_capacity(n * n);
         for i in 0..n {
-            assert_eq!(m.at(i, i).to_bits(), 0.0f64.to_bits(), "diagonal is +0.0");
-            for j in (0..n).filter(|&j| j != i) {
-                assert_eq!(m.at(i, j), (10 * i + j) as f64);
+            data.extend((0..i).map(|j| f(i, j)));
+            data.push(0.0);
+            data.extend((i + 1..n).map(|j| f(i, j)));
+        }
+        data
+    }
+
+    proptest! {
+        /// Every entry, the `+0.0` diagonal included, has the bits of
+        /// `Point::dist / speed` and of the indexed fill, on point sets
+        /// with coincident points, at speeds other than one.
+        #[test]
+        fn travel_times_equal_dist_over_speed_bit_for_bit(
+            coords in proptest::collection::vec((-500.0f64..500.0, -500.0f64..500.0), 0..40),
+            repeats in proptest::collection::vec(0usize..1_000, 0..10),
+            fixed in 0usize..4,
+            drawn in 1e-3f64..1e3,
+        ) {
+            let speed = [1.0, 0.7, 3.0, drawn][fixed];
+            let mut pts: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(x, y)).collect();
+            for r in repeats.iter().filter(|_| !coords.is_empty()) {
+                pts.push(pts[r % coords.len()]);
+            }
+            let m = DistanceMatrix::travel_times(&pts, speed);
+            let reference = indexed_fill(&pts, speed);
+            prop_assert_eq!(Metric::len(&m), pts.len());
+            prop_assert!(m.symmetric());
+            for (i, &p) in pts.iter().enumerate() {
+                for (j, &q) in pts.iter().enumerate() {
+                    let bits = m.at(i, j).to_bits();
+                    prop_assert_eq!(bits, (p.dist(q) / speed).to_bits(), "({}, {})", i, j);
+                    prop_assert_eq!(bits, reference[i * pts.len() + j].to_bits(), "({}, {})", i, j);
+                }
+                prop_assert_eq!(m.at(i, i).to_bits(), 0.0f64.to_bits(), "diagonal is +0.0");
+            }
+            if speed == 1.0 {
+                prop_assert_eq!(&DistanceMatrix::from_points(&pts), &m);
             }
         }
-        assert!(Metric::is_empty(&DistanceMatrix::from_fn(0, |_, _| unreachable!())));
+    }
+
+    #[test]
+    fn only_point_filled_tables_claim_symmetry() {
+        let pts = random_points(4, 6);
+        let filled = DistanceMatrix::from_points(&pts);
+        assert!(filled.symmetric());
+        assert!(DistanceMatrix::travel_times(&pts, 2.5).symmetric());
+        let copy = DistanceMatrix::from_metric(&filled);
+        assert!(!copy.symmetric(), "a copy assumes nothing of its source");
+        assert_ne!(copy, filled);
+        assert!(!dist_matrix(&pts).symmetric());
+        assert!(!VirtualNodeMetric::new(&filled, &[1.0; 6]).symmetric());
     }
 
     #[test]

@@ -21,20 +21,12 @@ use wrsn_geom::Point;
 #[derive(Default)]
 pub struct Aa {
     config: PlannerConfig,
-    seed: u64,
 }
 
-
 impl Aa {
-    /// Creates the planner with the given configuration (k-means seed 0).
+    /// Creates the planner with the given configuration.
     pub fn new(config: PlannerConfig) -> Self {
-        Aa { config, seed: 0 }
-    }
-
-    /// Sets the k-means seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
+        Aa { config }
     }
 }
 
@@ -51,7 +43,7 @@ impl Planner for Aa {
         }
 
         let pts: Vec<Point> = problem.targets().iter().map(|t| t.pos).collect();
-        let km = kmeans(&pts, k, self.seed, 200);
+        let km = kmeans(&pts, k, 0, 200);
 
         let mut stops: Vec<Vec<(usize, f64)>> = Vec::with_capacity(k);
         for c in 0..k {

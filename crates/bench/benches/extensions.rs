@@ -45,7 +45,7 @@
 //!
 //! Knobs: `WRSN_INSTANCES` (default 5), `WRSN_HORIZON_DAYS` (default 120).
 
-use wrsn_bench::{env_f64, env_usize, PlannerFanout, PlannerKind, ResilienceExperiment};
+use wrsn_bench::{env_f64, env_usize, MonitoringExperiment, PlannerKind, SnapshotExperiment};
 use wrsn_core::{ChargingParams, ChargingProblem, PlannerConfig};
 use wrsn_net::{Deployment, NetworkBuilder};
 use wrsn_sim::{AsyncSimulation, SimConfig, Simulation};
@@ -173,7 +173,6 @@ fn main() {
         "\n## Resilience (n=900, K=2, {:.0}-day horizon, dead min/sensor vs charger MTBF)\n",
         horizon_s / 86_400.0
     );
-    let resilience = ResilienceExperiment { instances, horizon_s, ..Default::default() };
     print!("{:>16}", "MTBF (horizons)");
     for kind in PlannerKind::extended() {
         print!("{:>11}", kind.name());
@@ -183,6 +182,12 @@ fn main() {
         let label =
             if mtbf_fraction == 0.0 { "no faults".to_string() } else { format!("{mtbf_fraction}") };
         print!("{label:>16}");
+        // The MTBF is a fraction of the horizon: at 0.25 a charger breaks
+        // down four times per monitoring period in expectation.
+        let mut resilience =
+            MonitoringExperiment { n: 900, instances, base_seed: 3_000, horizon_s, ..Default::default() };
+        resilience.sim.fault.charger_mtbf_s = mtbf_fraction * horizon_s;
+        resilience.sim.fault.charger_repair_s = 24.0 * 3600.0;
         for kind in PlannerKind::extended() {
             let row = resilience.run_planner(kind, mtbf_fraction);
             print!("{:>11.1}", row.mean / 60.0);
@@ -193,15 +198,11 @@ fn main() {
     println!(
         "\n## Shared-context planner fan-out (n=800, K=2, {instances} seeds, times in ms)\n"
     );
-    let fanout = PlannerFanout {
-        n: 800,
-        seeds: (1..=instances as u64).collect(),
-        ..Default::default()
-    };
-    let shared = fanout.run_shared();
+    let fanout = SnapshotExperiment { n: 800, instances, base_seed: 1, ..Default::default() };
+    let shared = fanout.fan_out(&PlannerKind::extended());
     println!("{:>10} {:>14} {:>16}", "planner", "plan", "longest (h)");
     let mut planner_rows = Vec::new();
-    for kind in &fanout.kinds {
+    for kind in PlannerKind::extended() {
         let mean = |cells: &[wrsn_bench::FanoutCell], f: &dyn Fn(&wrsn_bench::FanoutCell) -> f64| {
             let xs: Vec<f64> =
                 cells.iter().filter(|c| c.planner == kind.name()).map(f).collect();

@@ -5,51 +5,10 @@
 //! (b) average dead duration per sensor over the monitoring period
 //! (minutes).
 //!
-//! Knobs: `WRSN_SIZES` (default `200,400,600,800,1000,1200`),
-//! `WRSN_INSTANCES` (default 10 for (a), capped at 5 for (b)),
-//! `WRSN_HORIZON_DAYS` (default 90).
-
-use wrsn_bench::table::ResultTable;
-use wrsn_bench::{env_f64, env_usize, env_usize_list, MonitoringExperiment, SnapshotExperiment};
+//! Both panels are defined in `wrsn_bench::figures`. Knobs: `WRSN_SIZES`
+//! (default `200,400,600,800,1000,1200`), `WRSN_INSTANCES` (default 10
+//! for (a), capped at 5 for (b)), `WRSN_HORIZON_DAYS` (default 90).
 
 fn main() {
-    let sizes = env_usize_list("WRSN_SIZES", &[200, 400, 600, 800, 1000, 1200]);
-    let instances = env_usize("WRSN_INSTANCES", 10);
-    let horizon_days = env_f64("WRSN_HORIZON_DAYS", 90.0);
-
-    let mut a = ResultTable::new(
-        "Fig 3(a): average longest tour duration vs n (K=2, b_max=50 kbps)",
-        "n",
-        3600.0,
-        "hours",
-    );
-    for &n in &sizes {
-        let exp = SnapshotExperiment { n, k: 2, instances, ..Default::default() };
-        a.extend(exp.run_all(n as f64));
-        eprintln!("fig3a: n={n} done");
-    }
-    println!("{}", a.render());
-    let path = a.write_json("fig3a").expect("write results");
-    println!("raw points: {}\n", path.display());
-
-    let mut b = ResultTable::new(
-        "Fig 3(b): average dead duration per sensor vs n (K=2, b_max=50 kbps)",
-        "n",
-        60.0,
-        "minutes",
-    );
-    for &n in &sizes {
-        let exp = MonitoringExperiment {
-            n,
-            k: 2,
-            instances: instances.min(5),
-            horizon_s: horizon_days * 24.0 * 3600.0,
-            ..Default::default()
-        };
-        b.extend(exp.run_all(n as f64));
-        eprintln!("fig3b: n={n} done");
-    }
-    println!("{}", b.render());
-    let path = b.write_json("fig3b").expect("write results");
-    println!("raw points: {}", path.display());
+    wrsn_bench::figures::run_bench(3);
 }

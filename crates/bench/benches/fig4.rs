@@ -4,58 +4,11 @@
 //! (a) average longest tour duration (hours);
 //! (b) average dead duration per sensor (minutes).
 //!
-//! Knobs: `WRSN_RATES` (default `10,20,30,40,50` kbps), `WRSN_INSTANCES`,
-//! `WRSN_HORIZON_DAYS`, `WRSN_N` (default 1000).
-
-use wrsn_bench::table::ResultTable;
-use wrsn_bench::{env_f64, env_usize, env_usize_list, MonitoringExperiment, SnapshotExperiment};
+//! Both panels are defined in `wrsn_bench::figures`. Knobs: `WRSN_RATES`
+//! (default `10,20,30,40,50` kbps), `WRSN_N` (default 1000),
+//! `WRSN_INSTANCES` (default 10 for (a), capped at 5 for (b)),
+//! `WRSN_HORIZON_DAYS` (default 90).
 
 fn main() {
-    let rates = env_usize_list("WRSN_RATES", &[10, 20, 30, 40, 50]);
-    let n = env_usize("WRSN_N", 1000);
-    let instances = env_usize("WRSN_INSTANCES", 10);
-    let horizon_days = env_f64("WRSN_HORIZON_DAYS", 90.0);
-
-    let mut a = ResultTable::new(
-        format!("Fig 4(a): average longest tour duration vs b_max (n={n}, K=2)").as_str(),
-        "b_max",
-        3600.0,
-        "hours",
-    );
-    for &r in &rates {
-        let exp = SnapshotExperiment {
-            n,
-            k: 2,
-            b_max_kbps: r as f64,
-            instances,
-            ..Default::default()
-        };
-        a.extend(exp.run_all(r as f64));
-        eprintln!("fig4a: b_max={r} kbps done");
-    }
-    println!("{}", a.render());
-    let path = a.write_json("fig4a").expect("write results");
-    println!("raw points: {}\n", path.display());
-
-    let mut b = ResultTable::new(
-        format!("Fig 4(b): average dead duration per sensor vs b_max (n={n}, K=2)").as_str(),
-        "b_max",
-        60.0,
-        "minutes",
-    );
-    for &r in &rates {
-        let exp = MonitoringExperiment {
-            n,
-            k: 2,
-            b_max_kbps: r as f64,
-            instances: instances.min(5),
-            horizon_s: horizon_days * 24.0 * 3600.0,
-            ..Default::default()
-        };
-        b.extend(exp.run_all(r as f64));
-        eprintln!("fig4b: b_max={r} kbps done");
-    }
-    println!("{}", b.render());
-    let path = b.write_json("fig4b").expect("write results");
-    println!("raw points: {}", path.display());
+    wrsn_bench::figures::run_bench(4);
 }

@@ -4,53 +4,11 @@
 //! (a) average longest tour duration (hours);
 //! (b) average dead duration per sensor (minutes).
 //!
-//! Knobs: `WRSN_KS` (default `1,2,3,4,5`), `WRSN_INSTANCES`,
-//! `WRSN_HORIZON_DAYS`, `WRSN_N` (default 1000).
-
-use wrsn_bench::table::ResultTable;
-use wrsn_bench::{env_f64, env_usize, env_usize_list, MonitoringExperiment, SnapshotExperiment};
+//! Both panels are defined in `wrsn_bench::figures`. Knobs: `WRSN_KS`
+//! (default `1,2,3,4,5`), `WRSN_N` (default 1000), `WRSN_INSTANCES`
+//! (default 10 for (a), capped at 5 for (b)), `WRSN_HORIZON_DAYS`
+//! (default 90).
 
 fn main() {
-    let ks = env_usize_list("WRSN_KS", &[1, 2, 3, 4, 5]);
-    let n = env_usize("WRSN_N", 1000);
-    let instances = env_usize("WRSN_INSTANCES", 10);
-    let horizon_days = env_f64("WRSN_HORIZON_DAYS", 90.0);
-
-    let mut a = ResultTable::new(
-        format!("Fig 5(a): average longest tour duration vs K (n={n}, b_max=50 kbps)")
-            .as_str(),
-        "K",
-        3600.0,
-        "hours",
-    );
-    for &k in &ks {
-        let exp = SnapshotExperiment { n, k, instances, ..Default::default() };
-        a.extend(exp.run_all(k as f64));
-        eprintln!("fig5a: K={k} done");
-    }
-    println!("{}", a.render());
-    let path = a.write_json("fig5a").expect("write results");
-    println!("raw points: {}\n", path.display());
-
-    let mut b = ResultTable::new(
-        format!("Fig 5(b): average dead duration per sensor vs K (n={n}, b_max=50 kbps)")
-            .as_str(),
-        "K",
-        60.0,
-        "minutes",
-    );
-    for &k in &ks {
-        let exp = MonitoringExperiment {
-            n,
-            k,
-            instances: instances.min(5),
-            horizon_s: horizon_days * 24.0 * 3600.0,
-            ..Default::default()
-        };
-        b.extend(exp.run_all(k as f64));
-        eprintln!("fig5b: K={k} done");
-    }
-    println!("{}", b.render());
-    let path = b.write_json("fig5b").expect("write results");
-    println!("raw points: {}", path.display());
+    wrsn_bench::figures::run_bench(5);
 }

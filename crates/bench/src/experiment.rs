@@ -6,19 +6,19 @@ use wrsn_sim::{SimConfig, Simulation};
 
 use crate::planners::PlannerKind;
 
-/// Runs `instances` independent evaluations in parallel scoped threads
-/// (one planner instance per thread; everything is Send because
-/// instances are rebuilt from seeds) and returns the per-instance
-/// metrics in instance order.
-fn parallel_instances<F>(instances: usize, eval: F) -> Vec<f64>
+/// Runs `instances` independent evaluations on a work-stealing pool of
+/// scoped threads, at most one per core, and returns the results in
+/// instance order.
+pub(crate) fn parallel_instances<T, F>(instances: usize, eval: F) -> Vec<T>
 where
-    F: Fn(usize) -> f64 + Sync,
+    T: Send,
+    F: Fn(usize) -> T + Sync,
 {
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4)
         .min(instances.max(1));
-    let out = std::sync::Mutex::new(vec![0.0; instances]);
+    let out = std::sync::Mutex::new((0..instances).map(|_| None).collect::<Vec<Option<T>>>());
     let next = std::sync::atomic::AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -28,11 +28,15 @@ where
                     break;
                 }
                 let v = eval(i);
-                out.lock().expect("result lock")[i] = v;
+                out.lock().expect("result lock")[i] = Some(v);
             });
         }
     });
-    out.into_inner().expect("no poisoned lock")
+    out.into_inner()
+        .expect("no poisoned lock")
+        .into_iter()
+        .map(|v| v.expect("every instance evaluated"))
+        .collect()
 }
 
 /// Mean ± sample standard deviation of a series.
@@ -127,15 +131,15 @@ impl SnapshotExperiment {
         let (mean, std) = mean_std(&delays);
         PointSummary { planner: kind.name(), x, mean, std, instances: self.instances }
     }
-
-    /// Runs all five planners; returns one summary per planner.
-    pub fn run_all(&self, x: f64) -> Vec<PointSummary> {
-        PlannerKind::all().iter().map(|&kind| self.run_planner(kind, x)).collect()
-    }
 }
 
 /// A Fig. (b)-style experiment: simulate the full monitoring period and
 /// record the average dead duration per sensor.
+///
+/// `sim.fault` layers charger breakdowns onto every instance (the
+/// extensions bench's resilience sweep): instance `i` seeds both its
+/// network and its fault stream with `base_seed + i`, so every point is
+/// reproducible, and the default inert model draws nothing.
 #[derive(Clone, Debug)]
 pub struct MonitoringExperiment {
     /// Network size `n`.
@@ -146,11 +150,12 @@ pub struct MonitoringExperiment {
     pub b_max_kbps: f64,
     /// Instances (seeds) per data point.
     pub instances: usize,
-    /// First seed.
+    /// First seed; instance `i` uses `base_seed + i`.
     pub base_seed: u64,
     /// Monitoring period, seconds.
     pub horizon_s: f64,
-    /// Simulation config (batching, threshold).
+    /// Simulation config (batching, threshold, fault model); its
+    /// horizon and fault seed are set per instance.
     pub sim: SimConfig,
     /// Shared planner config.
     pub config: PlannerConfig,
@@ -177,108 +182,22 @@ impl MonitoringExperiment {
     pub fn run_planner(&self, kind: PlannerKind, x: f64) -> PointSummary {
         let dead = parallel_instances(self.instances, |i| {
             let planner = kind.build(self.config);
+            let seed = self.base_seed + i as u64;
             let net = NetworkBuilder::new(self.n)
-                .seed(self.base_seed + i as u64)
+                .seed(seed)
                 .data_rate_bps(1_000.0, self.b_max_kbps * 1_000.0)
                 .build();
             let mut sim_cfg = self.sim;
             sim_cfg.horizon_s = self.horizon_s;
+            sim_cfg.fault.seed = seed;
             let report = Simulation::new(net, sim_cfg).expect("valid experiment config")
                 .run(planner.as_ref(), self.k)
-                .expect("planners are complete");
-            report.avg_dead_time_s()
-        });
-        let (mean, std) = mean_std(&dead);
-        PointSummary { planner: kind.name(), x, mean, std, instances: self.instances }
-    }
-
-    /// Runs all five planners.
-    pub fn run_all(&self, x: f64) -> Vec<PointSummary> {
-        PlannerKind::all().iter().map(|&kind| self.run_planner(kind, x)).collect()
-    }
-}
-
-/// A resilience experiment: simulate the monitoring period under
-/// injected charger breakdowns and record how each planner's average
-/// dead duration degrades as the charger MTBF shrinks.
-///
-/// The x-axis is the MTBF expressed as a *fraction of the horizon*
-/// (e.g. `0.25` means a charger breaks down four times per monitoring
-/// period in expectation); `mtbf_fraction = 0` is the fault-free
-/// baseline. Because recovery re-plans run on the surviving fleet, the
-/// gap between a planner's faulted and fault-free rows measures how
-/// gracefully its schedules truncate and re-plan.
-#[derive(Clone, Debug)]
-pub struct ResilienceExperiment {
-    /// Network size `n`.
-    pub n: usize,
-    /// Number of chargers `K`.
-    pub k: usize,
-    /// Maximum data rate `b_max`, kbps.
-    pub b_max_kbps: f64,
-    /// Instances (seeds) per data point.
-    pub instances: usize,
-    /// First seed; instance `i` uses `base_seed + i` for both the
-    /// network and the fault stream, so every point is reproducible.
-    pub base_seed: u64,
-    /// Monitoring period, seconds.
-    pub horizon_s: f64,
-    /// Repair downtime after each breakdown, seconds.
-    pub repair_s: f64,
-    /// Simulation config the fault model is layered onto.
-    pub sim: SimConfig,
-    /// Shared planner config.
-    pub config: PlannerConfig,
-}
-
-impl Default for ResilienceExperiment {
-    fn default() -> Self {
-        ResilienceExperiment {
-            n: 900,
-            k: 2,
-            b_max_kbps: 50.0,
-            instances: 5,
-            base_seed: 3_000,
-            horizon_s: 90.0 * 24.0 * 3600.0,
-            repair_s: 24.0 * 3600.0,
-            sim: SimConfig::default(),
-            config: PlannerConfig::default(),
-        }
-    }
-}
-
-impl ResilienceExperiment {
-    /// Runs one planner at one MTBF point (in parallel over instances);
-    /// metric is the average dead duration per sensor (**seconds**).
-    /// `mtbf_fraction <= 0` disables faults entirely.
-    pub fn run_planner(&self, kind: PlannerKind, mtbf_fraction: f64) -> PointSummary {
-        let dead = parallel_instances(self.instances, |i| {
-            let planner = kind.build(self.config);
-            let net = NetworkBuilder::new(self.n)
-                .seed(self.base_seed + i as u64)
-                .data_rate_bps(1_000.0, self.b_max_kbps * 1_000.0)
-                .build();
-            let mut sim_cfg = self.sim;
-            sim_cfg.horizon_s = self.horizon_s;
-            if mtbf_fraction > 0.0 {
-                sim_cfg.fault.charger_mtbf_s = mtbf_fraction * self.horizon_s;
-                sim_cfg.fault.charger_repair_s = self.repair_s;
-                sim_cfg.fault.seed = self.base_seed + i as u64;
-            }
-            let report = Simulation::new(net, sim_cfg)
-                .expect("valid resilience config")
-                .run(planner.as_ref(), self.k)
-                .expect("recovery re-planning must not fail");
+                .expect("planners are complete, and recovery re-plans with them");
             debug_assert!(report.service_reconciles());
             report.avg_dead_time_s()
         });
         let (mean, std) = mean_std(&dead);
-        PointSummary { planner: kind.name(), x: mtbf_fraction, mean, std, instances: self.instances }
-    }
-
-    /// Runs all five planners at one MTBF point.
-    pub fn run_all(&self, mtbf_fraction: f64) -> Vec<PointSummary> {
-        PlannerKind::all().iter().map(|&kind| self.run_planner(kind, mtbf_fraction)).collect()
+        PointSummary { planner: kind.name(), x, mean, std, instances: self.instances }
     }
 }
 
@@ -306,9 +225,7 @@ mod tests {
     #[test]
     fn snapshot_runs_all_planners() {
         let exp = SnapshotExperiment { n: 60, instances: 2, ..Default::default() };
-        let rows = exp.run_all(60.0);
-        assert_eq!(rows.len(), 5);
-        for r in &rows {
+        for r in PlannerKind::all().map(|kind| exp.run_planner(kind, 60.0)) {
             assert!(r.mean > 0.0, "{} has zero delay", r.planner);
             assert_eq!(r.instances, 2);
         }
@@ -327,18 +244,70 @@ mod tests {
         assert!(row.mean >= 0.0);
     }
 
+    /// The per-instance loop of the resilience sweep before its fault
+    /// model moved into [`MonitoringExperiment::sim`], kept as the
+    /// reference the folded runner must match bit for bit.
+    fn resilience_reference(
+        exp: &MonitoringExperiment,
+        kind: PlannerKind,
+        mtbf_fraction: f64,
+        repair_s: f64,
+    ) -> Vec<f64> {
+        (0..exp.instances)
+            .map(|i| {
+                let planner = kind.build(exp.config);
+                let net = NetworkBuilder::new(exp.n)
+                    .seed(exp.base_seed + i as u64)
+                    .data_rate_bps(1_000.0, exp.b_max_kbps * 1_000.0)
+                    .build();
+                let mut sim_cfg = SimConfig::default();
+                sim_cfg.horizon_s = exp.horizon_s;
+                if mtbf_fraction > 0.0 {
+                    sim_cfg.fault.charger_mtbf_s = mtbf_fraction * exp.horizon_s;
+                    sim_cfg.fault.charger_repair_s = repair_s;
+                    sim_cfg.fault.seed = exp.base_seed + i as u64;
+                }
+                let report = Simulation::new(net, sim_cfg)
+                    .unwrap()
+                    .run(planner.as_ref(), exp.k)
+                    .unwrap();
+                report.avg_dead_time_s()
+            })
+            .collect()
+    }
+
     #[test]
     fn resilience_runs_with_and_without_faults() {
-        let exp = ResilienceExperiment {
-            n: 40,
-            instances: 1,
-            horizon_s: 20.0 * 24.0 * 3600.0,
-            ..Default::default()
-        };
-        let clean = exp.run_planner(PlannerKind::KEdf, 0.0);
-        let faulted = exp.run_planner(PlannerKind::KEdf, 0.25);
-        assert_eq!(clean.x, 0.0);
-        assert_eq!(faulted.x, 0.25);
-        assert!(clean.mean >= 0.0 && faulted.mean >= 0.0);
+        let repair_s = 24.0 * 3600.0;
+        // The second setting saturates one charger, so breakdowns cost
+        // dead time there and the fault stream's seed shows in the means.
+        for (n, k, days) in [(80, 2, 10.0), (300, 1, 20.0)] {
+            let mut clean_and_faulted = Vec::new();
+            for mtbf_fraction in [0.0, 0.5] {
+                let mut exp = MonitoringExperiment {
+                    n,
+                    k,
+                    instances: 2,
+                    base_seed: 3_000,
+                    horizon_s: days * 86_400.0,
+                    ..Default::default()
+                };
+                exp.sim.fault.charger_mtbf_s = mtbf_fraction * exp.horizon_s;
+                exp.sim.fault.charger_repair_s = repair_s;
+                for kind in [PlannerKind::Appro, PlannerKind::KEdf] {
+                    let got = exp.run_planner(kind, mtbf_fraction);
+                    let (mean, std) =
+                        mean_std(&resilience_reference(&exp, kind, mtbf_fraction, repair_s));
+                    let at = format!("{} at n={n}, MTBF {mtbf_fraction}", kind.name());
+                    assert_eq!(got.x, mtbf_fraction);
+                    assert_eq!(got.mean.to_bits(), mean.to_bits(), "{at}");
+                    assert_eq!(got.std.to_bits(), std.to_bits(), "{at}");
+                    clean_and_faulted.push(got.mean);
+                }
+            }
+            if k == 1 {
+                assert!(clean_and_faulted[3] > clean_and_faulted[1], "{clean_and_faulted:?}");
+            }
+        }
     }
 }

@@ -1,15 +1,15 @@
 //! Experiment harness for the paper's evaluation (§VI).
 //!
-//! Each figure in the paper maps to a bench target that drives this
-//! crate's experiment runners and prints the same series the figure
-//! plots (see `DESIGN.md` §6 for the full index):
+//! Each figure in the paper maps to a bench target that prints the same
+//! series the figure plots (see `DESIGN.md` §6 for the full index). The
+//! six figure panels are defined once, in [`figures`], and run by
+//! [`run_spec`]:
 //!
 //! | Paper figure | Metric | Bench target |
 //! |---|---|---|
 //! | Fig. 3(a)/(b) | longest tour / dead duration vs `n` | `cargo bench -p wrsn-bench --bench fig3` |
 //! | Fig. 4(a)/(b) | … vs `b_max` | `--bench fig4` |
 //! | Fig. 5(a)/(b) | … vs `K` | `--bench fig5` |
-//! | (engineering) | planner wall-clock vs `n` | `--bench runtime` |
 //! | (engineering) | design-choice ablations | `--bench ablation` |
 //!
 //! Results are printed as aligned tables and also written as JSON under
@@ -18,18 +18,18 @@
 //! Knobs via environment variables (so `cargo bench` stays tractable):
 //! `WRSN_INSTANCES` (instances per point, default 10),
 //! `WRSN_HORIZON_DAYS` (monitoring period for (b)-type runs, default 90),
-//! `WRSN_SIZES` (comma-separated `n` list for fig3).
+//! and the sweep lists and fixed `n` that [`figures::run_bench`] reads.
 
 pub mod experiment;
 pub mod fanout;
+pub mod figures;
 pub mod planners;
 pub mod spec;
 pub mod table;
 
-pub use experiment::{
-    MonitoringExperiment, PointSummary, ResilienceExperiment, SnapshotExperiment,
-};
-pub use fanout::{FanoutCell, FanoutReport, PlannerFanout};
+pub use experiment::{MonitoringExperiment, PointSummary, SnapshotExperiment};
+pub use fanout::{FanoutCell, FanoutReport};
+pub use figures::{figure, FIGURES};
 pub use planners::PlannerKind;
 pub use spec::{run_spec, ExperimentSpec};
 

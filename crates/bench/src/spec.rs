@@ -42,6 +42,17 @@ pub enum SweepVariable {
     BMax,
 }
 
+impl SweepVariable {
+    /// The variable's name in tables and titles: `n`, `K` or `b_max`.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            SweepVariable::N => "n",
+            SweepVariable::K => "K",
+            SweepVariable::BMax => "b_max",
+        }
+    }
+}
+
 /// A one-dimensional sweep.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Sweep {
@@ -219,12 +230,7 @@ pub fn run_spec(spec: &ExperimentSpec) -> Result<ResultTable, SpecError> {
         SpecKind::Snapshot => (3600.0, "hours"),
         SpecKind::Monitoring => (60.0, "minutes"),
     };
-    let x_name = match spec.sweep.variable {
-        SweepVariable::N => "n",
-        SweepVariable::K => "K",
-        SweepVariable::BMax => "b_max",
-    };
-    let mut table = ResultTable::new(&spec.name, x_name, divisor, unit);
+    let mut table = ResultTable::new(&spec.name, spec.sweep.variable.label(), divisor, unit);
 
     for &x in &spec.sweep.values {
         let (n, k, b_max) = match spec.sweep.variable {

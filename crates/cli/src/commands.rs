@@ -219,8 +219,8 @@ fn schedule_json(problem: &ChargingProblem, schedule: &Schedule) -> serde_json::
     })
 }
 
-/// `wrsn plan --compare`: every planner (paper five + extensions)
-/// evaluated **concurrently** on one shared problem, whose
+/// `wrsn plan --compare` and `wrsn compare`: every planner (paper five +
+/// extensions) evaluated **concurrently** on one shared problem, whose
 /// [`wrsn_core::ProblemContext`] is warmed once up front, each planner
 /// sharded as `--shards` asks; reports the shared context build time and
 /// each planner's pure plan time.
@@ -356,30 +356,9 @@ pub fn plan(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `wrsn compare`: all five planners, one snapshot instance.
+/// `wrsn compare`: the same as `wrsn plan --compare`.
 pub fn compare(args: &Args) -> CliResult {
-    let inst = Instance::from_args(args)?;
-    let problem = inst.snapshot()?;
-    println!(
-        "instance: n={} seed={} → {} requests, K={}",
-        inst.n,
-        inst.seed,
-        problem.len(),
-        problem.charger_count()
-    );
-    println!("{:>9} {:>12} {:>10} {:>10}", "planner", "longest (h)", "sojourns", "wait (h)");
-    for kind in PlannerKind::all() {
-        let schedule = kind.build(PlannerConfig::default()).plan(&problem)?;
-        schedule.certify(&problem)?;
-        println!(
-            "{:>9} {:>12.2} {:>10} {:>10.2}",
-            kind.name(),
-            schedule.longest_delay_s() / 3600.0,
-            schedule.sojourn_count(),
-            schedule.total_wait_time_s() / 3600.0
-        );
-    }
-    Ok(())
+    plan_compare(&Instance::from_args(args)?)
 }
 
 /// `wrsn simulate`: a monitoring-period simulation.
@@ -703,80 +682,30 @@ pub fn fleet(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `wrsn experiment`: run one of the paper's figure sweeps.
+/// `wrsn experiment`: one of the paper's figure panels or a JSON spec,
+/// run by [`wrsn_bench::run_spec`].
 pub fn experiment(args: &Args) -> CliResult {
-    use wrsn_bench::table::ResultTable;
-    use wrsn_bench::{MonitoringExperiment, SnapshotExperiment};
-
     // A JSON spec file takes precedence over the named figures.
-    if let Some(path) = args.get("spec") {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read spec {path:?}: {e}"))?;
-        let spec = wrsn_bench::ExperimentSpec::from_json(&text)?;
-        let table = wrsn_bench::run_spec(&spec)?;
-        print!("{}", table.render());
-        if args.flag("csv") {
-            print!("{}", table.render_csv());
+    let spec = match args.get("spec") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read spec {path:?}: {e}"))?;
+            wrsn_bench::ExperimentSpec::from_json(&text)?
         }
-        return Ok(());
-    }
-
-    let which = args.get("figure").unwrap_or("fig3a");
-    let instances: usize = args.get_or("instances", 5)?;
-    let horizon_days: f64 = args.get_or("horizon-days", 90.0)?;
-
-    match which {
-        "fig3a" | "fig3b" => {
-            let sizes = [200usize, 400, 600, 800, 1000, 1200];
-            if which == "fig3a" {
-                let mut t = ResultTable::new(
-                    "Fig 3(a): longest tour duration vs n",
-                    "n",
-                    3600.0,
-                    "hours",
-                );
-                for &n in &sizes {
-                    let exp = SnapshotExperiment { n, k: 2, instances, ..Default::default() };
-                    t.extend(exp.run_all(n as f64));
-                }
-                print!("{}", t.render());
-            } else {
-                let mut t = ResultTable::new(
-                    "Fig 3(b): dead duration per sensor vs n",
-                    "n",
-                    60.0,
-                    "minutes",
-                );
-                for &n in &sizes {
-                    let exp = MonitoringExperiment {
-                        n,
-                        k: 2,
-                        instances,
-                        horizon_s: horizon_days * 86_400.0,
-                        ..Default::default()
-                    };
-                    t.extend(exp.run_all(n as f64));
-                }
-                print!("{}", t.render());
-            }
+        None => {
+            let id = args.get("figure").unwrap_or("fig3a");
+            let mut spec = wrsn_bench::figure(id).ok_or_else(|| {
+                format!("unknown figure {id:?}; expected {}", wrsn_bench::FIGURES.join("|"))
+            })?;
+            spec.instances = args.get_or("instances", 5)?;
+            spec.horizon_days = args.get_or("horizon-days", 90.0)?;
+            spec
         }
-        "fig5a" => {
-            let mut t =
-                ResultTable::new("Fig 5(a): longest tour duration vs K", "K", 3600.0, "hours");
-            for k in 1..=5 {
-                let exp =
-                    SnapshotExperiment { n: 1000, k, instances, ..Default::default() };
-                t.extend(exp.run_all(k as f64));
-            }
-            print!("{}", t.render());
-        }
-        other => {
-            return Err(format!(
-                "unknown figure {other:?}; expected fig3a|fig3b|fig5a \
-                 (use `cargo bench -p wrsn-bench` for the full set)"
-            )
-            .into())
-        }
+    };
+    let table = wrsn_bench::run_spec(&spec)?;
+    print!("{}", table.render());
+    if args.flag("csv") {
+        print!("{}", table.render_csv());
     }
     Ok(())
 }

@@ -24,11 +24,14 @@ USAGE:
 
 COMMANDS:
     plan        Plan charging tours for one snapshot instance
-    compare     Run all five planners on the same snapshot instance
+    compare     Run every planner on the same snapshot instance (the same
+                as plan --compare)
     simulate    Simulate a monitoring period with repeated charging rounds
     bounds      Show instance lower bounds and the planner's gap to them
-    experiment  Run a paper figure sweep (--figure fig3a|fig3b|fig5a)
-                or a declarative JSON sweep (--spec file.json [--csv])
+    experiment  Run a paper figure panel (--figure fig3a|fig3b|fig4a|fig4b|
+                fig5a|fig5b, with --instances, default 5, and
+                --horizon-days, default 90) or a declarative JSON sweep
+                (--spec file.json); --csv also prints the raw points
     fleet       Find the minimum fleet size (--max-k, --tolerance-min)
     serve       Run the online charging service: a resilient long-lived daemon
                 with micro-batched admission, backpressure, and crash recovery
@@ -51,7 +54,7 @@ COMMON OPTIONS:
     --json              Emit machine-readable JSON instead of a table
     --compare           (plan) Evaluate every planner concurrently on one shared
                         problem context, sharded as --shards asks; reports
-                        per-planner plan time
+                        per-planner plan time (what compare runs)
     --map               (plan) Also print an ASCII field map + timeline
     --stats             (plan) Also print completion percentiles + per-MCV breakdown
     --svg <path>        (plan) Write the field and timeline as SVG files

@@ -111,6 +111,39 @@ fn plan_compare_honours_shards() {
 }
 
 #[test]
+fn experiment_unknown_figure_lists_all_six() {
+    let out = wrsn().args(["experiment", "--figure", "nope"]).output().expect("binary runs");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    for id in wrsn_bench::FIGURES {
+        assert!(err.contains(id), "missing {id}:\n{err}");
+    }
+}
+
+#[test]
+fn experiment_runs_a_spec_file() {
+    let path = std::env::temp_dir().join(format!("wrsn_cli_spec_{}.json", std::process::id()));
+    std::fs::write(
+        &path,
+        r#"{"name": "tiny k sweep", "kind": "snapshot", "n": 60, "instances": 1,
+            "sweep": {"variable": "k", "values": [1, 2]}, "planners": ["Appro"]}"#,
+    )
+    .unwrap();
+    let out = wrsn()
+        .args(["experiment", "--spec"])
+        .arg(&path)
+        .arg("--csv")
+        .output()
+        .expect("binary runs");
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.starts_with("## tiny k sweep [hours]"), "{text}");
+    assert!(text.contains("x,planner,mean,std,instances"), "{text}");
+    assert_eq!(text.matches(",Appro,").count(), 2, "{text}");
+}
+
+#[test]
 fn simulate_reports_rounds() {
     let out = wrsn()
         .args(["simulate", "--n", "100", "--days", "40", "--json"])

@@ -57,6 +57,30 @@ impl ChargingParams {
         );
         ChargingParams { charge_target_fraction: fraction, ..Default::default() }
     }
+
+    /// Checks every field: `gamma_m`, `eta_w` and `speed_mps` must be
+    /// positive and finite, `charge_target_fraction` in `(0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// The name of the first field out of range.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        if !positive(self.gamma_m) {
+            return Err("gamma_m");
+        }
+        if !positive(self.eta_w) {
+            return Err("eta_w");
+        }
+        if !positive(self.speed_mps) {
+            return Err("speed_mps");
+        }
+        let f = self.charge_target_fraction;
+        if f.is_nan() || f <= 0.0 || f > 1.0 {
+            return Err("charge_target_fraction");
+        }
+        Ok(())
+    }
 }
 
 /// One lifetime-critical sensor in the request set `V_s`.
@@ -203,21 +227,7 @@ impl ChargingProblem {
         if k == 0 {
             return Err(ProblemError::NoChargers);
         }
-        if params.gamma_m <= 0.0 || !params.gamma_m.is_finite() {
-            return Err(ProblemError::InvalidParam("gamma_m"));
-        }
-        if params.eta_w <= 0.0 || !params.eta_w.is_finite() {
-            return Err(ProblemError::InvalidParam("eta_w"));
-        }
-        if params.speed_mps <= 0.0 || !params.speed_mps.is_finite() {
-            return Err(ProblemError::InvalidParam("speed_mps"));
-        }
-        if params.charge_target_fraction.is_nan()
-            || params.charge_target_fraction <= 0.0
-            || params.charge_target_fraction > 1.0
-        {
-            return Err(ProblemError::InvalidParam("charge_target_fraction"));
-        }
+        params.validate().map_err(ProblemError::InvalidParam)?;
         if !depot.is_finite() {
             return Err(ProblemError::InvalidParam("depot"));
         }
@@ -577,6 +587,23 @@ mod tests {
         let mut prm = params();
         prm.speed_mps = f64::NAN;
         assert!(ChargingProblem::new(Point::ORIGIN, Vec::new(), 1, prm).is_err());
+    }
+
+    #[test]
+    fn params_validate_names_the_bad_field() {
+        assert_eq!(ChargingParams::default().validate(), Ok(()));
+        assert_eq!(ChargingParams::with_partial_charging(0.5).validate(), Ok(()));
+        let ok = params();
+        for (field, prm) in [
+            ("gamma_m", ChargingParams { gamma_m: f64::NAN, ..ok }),
+            ("eta_w", ChargingParams { eta_w: 0.0, ..ok }),
+            ("speed_mps", ChargingParams { speed_mps: f64::INFINITY, ..ok }),
+            ("charge_target_fraction", ChargingParams { charge_target_fraction: 0.0, ..ok }),
+            ("charge_target_fraction", ChargingParams { charge_target_fraction: 1.5, ..ok }),
+            ("charge_target_fraction", ChargingParams { charge_target_fraction: f64::NAN, ..ok }),
+        ] {
+            assert_eq!(prm.validate(), Err(field));
+        }
     }
 
     #[test]

@@ -124,11 +124,6 @@ impl Schedule {
         self.tours.iter().map(|t| t.return_time_s).fold(0.0, f64::max)
     }
 
-    /// Sum of all chargers' delays.
-    pub fn total_delay_s(&self) -> f64 {
-        self.tours.iter().map(|t| t.return_time_s).sum()
-    }
-
     /// Total charging time across all chargers.
     pub fn total_charge_time_s(&self) -> f64 {
         self.tours.iter().map(ChargerTour::charge_time_s).sum()
@@ -362,7 +357,6 @@ mod tests {
         assert_eq!(s.total_charge_time_s(), 150.0);
         assert_eq!(s.total_wait_time_s(), 0.0);
         assert_eq!(s.sojourn_count(), 2);
-        assert_eq!(s.total_delay_s(), s.tours[0].return_time_s + s.tours[1].return_time_s);
     }
 
     #[test]

@@ -78,12 +78,6 @@ impl Rect {
     pub fn clamp(&self, p: Point) -> Point {
         Point::new(p.x.clamp(self.min.x, self.max.x), p.y.clamp(self.min.y, self.max.y))
     }
-
-    /// The length of the rectangle's diagonal — an upper bound on any
-    /// pairwise distance between points inside it.
-    pub fn diameter(&self) -> f64 {
-        self.min.dist(self.max)
-    }
 }
 
 impl Default for Rect {
@@ -104,7 +98,6 @@ mod tests {
         assert_eq!(r.height(), 100.0);
         assert_eq!(r.area(), 10_000.0);
         assert_eq!(r.center(), Point::new(50.0, 50.0));
-        assert!((r.diameter() - 100.0 * 2f64.sqrt()).abs() < 1e-9);
     }
 
     #[test]

@@ -142,11 +142,6 @@ impl Network {
         self.requesting_sensors(DEFAULT_REQUEST_FRACTION)
     }
 
-    /// Positions of the given sensors, in order.
-    pub fn positions_of(&self, ids: &[SensorId]) -> Vec<Point> {
-        ids.iter().map(|&id| self.sensor(id).pos).collect()
-    }
-
     /// Drains every sensor by `dt_s` seconds at its consumption rate.
     pub fn drain_all(&mut self, dt_s: f64) {
         for s in &mut self.sensors {
@@ -266,15 +261,6 @@ mod tests {
             .map(|(s, _)| s.data_rate_bps)
             .sum();
         assert!((net.routing().arriving_at_bs_bps_alive(&alive) - total).abs() < 1e-9);
-    }
-
-    #[test]
-    fn positions_of_preserves_order() {
-        let net = tiny_net();
-        let ids = vec![SensorId(2), SensorId(0)];
-        let pos = net.positions_of(&ids);
-        assert_eq!(pos[0], net.sensors()[2].pos);
-        assert_eq!(pos[1], net.sensors()[0].pos);
     }
 
     #[test]

@@ -146,6 +146,9 @@ pub enum ServeConfigError {
     BadPlanBudget,
     /// `default_deficit_fraction` must be in `(0, 1]`.
     BadDeficitFraction,
+    /// The named `params` field is out of range (see
+    /// [`wrsn_core::ChargingParams::validate`]).
+    BadChargingParams(&'static str),
     /// The ingress-guard configuration is invalid.
     Guard(GuardConfigError),
 }
@@ -168,6 +171,9 @@ impl std::fmt::Display for ServeConfigError {
             ServeConfigError::BadDeficitFraction => {
                 write!(f, "default_deficit_fraction must be in (0, 1]")
             }
+            ServeConfigError::BadChargingParams(field) => {
+                write!(f, "charging parameter {field} is out of range")
+            }
             ServeConfigError::Guard(e) => write!(f, "{e}"),
         }
     }
@@ -185,6 +191,7 @@ impl ServeConfig {
         if self.k == 0 {
             return Err(ServeConfigError::NoChargers);
         }
+        self.params.validate().map_err(ServeConfigError::BadChargingParams)?;
         if self.tick_s <= 0.0 || !self.tick_s.is_finite() {
             return Err(ServeConfigError::BadTick);
         }
@@ -588,11 +595,6 @@ impl ServeEngine {
     /// The chaos layer's injection counters.
     pub fn chaos_counters(&self) -> &ChaosCounters {
         self.failpoints.counters()
-    }
-
-    /// The ingress guard's decision counters.
-    pub fn guard_counters(&self) -> &GuardCounters {
-        self.guard.counters()
     }
 
     /// Sensors currently quarantined by the ingress guard.
@@ -1746,6 +1748,26 @@ mod tests {
             ),
         ] {
             assert_eq!(cfg.validate(), Err(err));
+        }
+    }
+
+    #[test]
+    fn bad_charging_params_are_refused() {
+        use wrsn_core::ChargingParams;
+        let ok = ChargingParams::default();
+        for (field, params) in [
+            ("eta_w", ChargingParams { eta_w: 0.0, ..ok }),
+            ("gamma_m", ChargingParams { gamma_m: f64::NAN, ..ok }),
+            ("speed_mps", ChargingParams { speed_mps: f64::INFINITY, ..ok }),
+            ("charge_target_fraction", ChargingParams { charge_target_fraction: 1.5, ..ok }),
+        ] {
+            let cfg = ServeConfig { params, ..ServeConfig::default() };
+            assert_eq!(cfg.validate(), Err(ServeConfigError::BadChargingParams(field)));
+            let net = NetworkBuilder::new(30).seed(5).build();
+            assert!(matches!(
+                ServeEngine::new(net, cfg, factory()),
+                Err(ServeError::Config(ServeConfigError::BadChargingParams(f))) if f == field
+            ));
         }
     }
 

@@ -279,11 +279,6 @@ impl ChaosCounters {
         self.injected.iter().flatten().sum()
     }
 
-    /// Total injections at one site.
-    pub fn site_total(&self, site: Site) -> u64 {
-        self.injected[site.index()].iter().sum()
-    }
-
     /// The counters as JSON: `{site: {kind: count}}`, zero rows elided.
     pub fn to_json(&self) -> serde_json::Value {
         let mut sites = serde_json::Map::new();

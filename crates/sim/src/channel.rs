@@ -179,27 +179,7 @@ impl ChannelState {
             }
         }
         // 2. Due deliveries.
-        while let Some(&m) = self.inflight.first() {
-            if m.deliver_at_s > now + 1e-9 {
-                break;
-            }
-            self.inflight.remove(0);
-            let i = m.sensor as usize;
-            if self.wants[i] {
-                if self.delivered[i] {
-                    self.duplicates_dropped += 1;
-                    if tracing {
-                        buf.push(TraceEvent::DuplicateDropped {
-                            at_s: now,
-                            sensor: SensorId(m.sensor),
-                        });
-                    }
-                } else {
-                    self.delivered[i] = true;
-                }
-            }
-            // Stale copy for a no-longer-requesting sensor: ignored.
-        }
+        self.deliver_due(now, tracing, buf);
         // 3. Due transmission attempts.
         for i in 0..self.wants.len() {
             if !self.wants[i] || self.delivered[i] || self.next_attempt_s[i] > now {
@@ -242,6 +222,13 @@ impl ChannelState {
         // 4. Instant deliveries (zero-delay models) land in the same
         //    advance call, so a lossless zero-delay channel behaves like
         //    no channel at all.
+        self.deliver_due(now, tracing, buf);
+    }
+
+    /// Delivers every in-flight copy due by `now`. A copy for a sensor
+    /// that no longer requests is stale and ignored; a second copy of a
+    /// delivered request is a duplicate, dropped and counted.
+    fn deliver_due(&mut self, now: f64, tracing: bool, buf: &mut Vec<TraceEvent>) {
         while let Some(&m) = self.inflight.first() {
             if m.deliver_at_s > now + 1e-9 {
                 break;

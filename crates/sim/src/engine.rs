@@ -36,8 +36,8 @@ pub enum SimConfigError {
     NegativeAdmissionBound,
     /// The [`TelemetryModel`] has an out-of-range parameter.
     InvalidTelemetryModel(&'static str),
-    /// A [`ChargingParams`] field is out of range (NaN, non-positive
-    /// rate/speed, or a charge target outside `(0, 1]`).
+    /// The named [`ChargingParams`] field is out of range (see
+    /// [`ChargingParams::validate`]).
     InvalidChargingParams(&'static str),
     /// The [`ChurnModel`] has an out-of-range parameter.
     InvalidChurnModel(&'static str),
@@ -72,7 +72,7 @@ impl std::fmt::Display for SimConfigError {
                 write!(f, "invalid telemetry model: {what}")
             }
             SimConfigError::InvalidChargingParams(what) => {
-                write!(f, "invalid charging params: {what}")
+                write!(f, "invalid charging params: {what} is out of range")
             }
             SimConfigError::InvalidChurnModel(what) => {
                 write!(f, "invalid churn model: {what}")
@@ -214,32 +214,7 @@ impl SimConfig {
         self.telemetry.validate().map_err(SimConfigError::InvalidTelemetryModel)?;
         self.churn.validate().map_err(SimConfigError::InvalidChurnModel)?;
         self.energy.validate().map_err(SimConfigError::InvalidEnergyModel)?;
-        // Charger parameters were previously vetted only when a problem
-        // was built mid-run, where a NaN surfaced as a panic; reject
-        // them up front with a typed error instead.
-        if !self.params.gamma_m.is_finite() || self.params.gamma_m <= 0.0 {
-            return Err(SimConfigError::InvalidChargingParams(
-                "charging radius gamma_m must be positive and finite",
-            ));
-        }
-        if !self.params.eta_w.is_finite() || self.params.eta_w <= 0.0 {
-            return Err(SimConfigError::InvalidChargingParams(
-                "charging rate eta_w must be positive and finite",
-            ));
-        }
-        if !self.params.speed_mps.is_finite() || self.params.speed_mps <= 0.0 {
-            return Err(SimConfigError::InvalidChargingParams(
-                "charger speed must be positive and finite",
-            ));
-        }
-        if !self.params.charge_target_fraction.is_finite()
-            || self.params.charge_target_fraction <= 0.0
-            || self.params.charge_target_fraction > 1.0
-        {
-            return Err(SimConfigError::InvalidChargingParams(
-                "charge target fraction must be in (0, 1]",
-            ));
-        }
+        self.params.validate().map_err(SimConfigError::InvalidChargingParams)?;
         Ok(())
     }
 }
